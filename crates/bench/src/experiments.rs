@@ -1112,7 +1112,7 @@ pub fn link_sweep(scale: u32) -> Vec<LinkRow> {
 // ------------------------------------------------------------ fan-in sweep
 
 /// One row of the fan-in sweep: N identical CC clients against one
-/// threaded MC server. All metrics are per-client simulated quantities,
+/// event-driven MC server. All metrics are per-client simulated quantities,
 /// asserted identical across the N clients, so each row is deterministic
 /// regardless of thread scheduling.
 #[derive(Clone, Debug)]
@@ -1157,7 +1157,7 @@ pub fn fanin_sweep() -> Vec<FaninRow> {
 
     // One policy drives both ends of every link: the receive timeout
     // rides with it instead of living in per-test constants, sized to
-    // survive scheduler starvation when 2N threads share few cores (a
+    // survive scheduler starvation when N + 1 threads share few cores (a
     // timeout would retransmit and change a client's simulated ledger).
     let policy = LinkPolicy {
         recv_timeout: Duration::from_secs(5),
@@ -1179,7 +1179,7 @@ pub fn fanin_sweep() -> Vec<FaninRow> {
                 client_ends.push(cc_t);
             }
             let (outs, reports) = std::thread::scope(|scope| {
-                let server_thread = scope.spawn(|| server.serve_clients(server_ends));
+                let server_thread = scope.spawn(|| server.serve_event(server_ends));
                 let handles: Vec<_> = client_ends
                     .into_iter()
                     .map(|cc_t| {
@@ -1219,7 +1219,7 @@ pub fn fanin_sweep() -> Vec<FaninRow> {
                 );
                 assert_eq!(out.cache.link, outs[0].cache.link, "per-client determinism");
             }
-            // Translate-once ledger over the threaded fleet: which client
+            // Translate-once ledger over the fleet: which client
             // rewrote a given chunk is scheduling-dependent, but the
             // totals are not — per-client lookup counts are identical,
             // every chunk is rewritten exactly once, and everything else

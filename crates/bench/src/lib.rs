@@ -7,9 +7,6 @@
 //! ```sh
 //! cargo run --release -p softcache-bench --bin experiments -- all
 //! ```
-//!
-//! Criterion benches in `benches/paper_benches.rs` sample the same
-//! experiment kernels for timing.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

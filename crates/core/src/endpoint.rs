@@ -290,7 +290,7 @@ pub struct ServeReport {
     /// event-driven server rejects).
     pub admission_rejections: u64,
     /// Deepest request queue observed for this client (only the
-    /// event-driven server measures; the threaded path leaves it 0).
+    /// event-driven server measures; [`serve`] leaves it 0).
     pub queue_hwm: u64,
     /// Pending frames found unmarked during an idle sweep of the event
     /// loop and rescued. Always 0 for a transport that honours the

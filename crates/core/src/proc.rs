@@ -295,22 +295,6 @@ impl Heap {
         Some(addr)
     }
 
-    /// Index of the least-recently-used procedure region. Superseded by
-    /// `ProcCc::pick_victim` (TRRIP); kept as the reference policy for
-    /// the heap unit tests.
-    #[cfg(test)]
-    fn lru_proc(&self) -> Option<usize> {
-        self.regions
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| match r.kind {
-                RegionKind::Proc { last_use, .. } => Some((i, last_use)),
-                _ => None,
-            })
-            .min_by_key(|&(_, lu)| lu)
-            .map(|(i, _)| i)
-    }
-
     fn region_of_func(&self, func: u32) -> Option<usize> {
         self.regions.iter().position(|r| match r.kind {
             RegionKind::Proc { func: f, .. } => f == func,
@@ -423,10 +407,6 @@ struct ProcCc {
     /// Lifetime entries per procedure, never cleared — breaks RRPV ties
     /// towards the procedure entered least over the whole run.
     heat: HashMap<u32, u64>,
-}
-
-fn trace_on() -> bool {
-    std::env::var_os("SOFTCACHE_TRACE").is_some()
 }
 
 impl ProcCc {
@@ -595,12 +575,6 @@ impl ProcCc {
             if span.contains(&r.cont_orig) {
                 self.write_redir_word(machine, ridx, RedirSlot::Continuation);
             }
-        }
-        if trace_on() {
-            eprintln!(
-                "[proc] evict func {:#x} (tc {:#x}+{})",
-                func, proc.tc_start, proc.orig_size
-            );
         }
         self.stats.evictions += 1;
         self.stats.eviction_cycles.push(machine.stats.cycles);
@@ -789,15 +763,6 @@ impl ProcCc {
         }
         machine.predecode_range(tc_start, tc_start + bytes);
         self.seals.seal(machine, tc_start, bytes);
-        if trace_on() {
-            eprintln!(
-                "[proc] install func {:#x} at tc {:#x} size {} ({} exits)",
-                chunk.orig_start,
-                tc_start,
-                bytes,
-                chunk.exits.len()
-            );
-        }
         self.stats.fetches += 1;
         self.stats.words_installed += chunk.words.len() as u64;
         let cycles = self.cfg.miss_handler_cycles
@@ -819,12 +784,6 @@ impl ProcCc {
             .get(idx as usize)
             .cloned()
             .ok_or(CacheError::BadMissRecord(idx))?;
-        if trace_on() {
-            eprintln!(
-                "[proc] miss #{idx} at pc {:#x} -> target {:#x} site {:?}",
-                machine.cpu.pc, rec.target_orig, rec.site
-            );
-        }
         let target_tc = self.verified_target(machine, ep, rec.target_orig)?;
         match rec.site {
             Some((ridx, slot)) => {
@@ -1346,7 +1305,7 @@ int main() { return f(getc()); }
         let idx = h.region_of_func(2).unwrap();
         h.release(idx);
         assert!(h.find_free(48).is_some());
-        // LRU picks the oldest.
+        // A carve splits the coalesced span, leaving its tail free.
         let f = h.find_free(48).unwrap();
         h.carve(
             f,
@@ -1365,11 +1324,6 @@ int main() { return f(getc()); }
                 last_use: 4,
             },
         );
-        let lru = h.lru_proc().unwrap();
-        assert!(matches!(
-            h.regions[lru].kind,
-            RegionKind::Proc { func: 4, .. }
-        ));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Multi-client MC server — threaded or event-driven.
+//! Multi-client MC server — one event-driven poll loop.
 //!
 //! One memory controller process serving N embedded clients from a single
 //! shared program image — the fan-in configuration the paper's server-side
@@ -12,19 +12,14 @@
 //! so one client's stores can never leak into another's run — per-client
 //! outputs are byte-identical to single-client runs.
 //!
-//! Two serving modes:
-//!
-//! * [`McServer::serve_clients`] — one thread per client (the original
-//!   fan-in shape). Simple, but a thousand clients means a thousand
-//!   stacks and a thousand blocked `recv` calls.
-//! * [`McServer::serve_event`] — one poll loop over every client's
-//!   nonblocking [`Transport::try_recv`], multiplexing all per-client
-//!   session state (sequence/epoch, duplicate suppression, batch
-//!   budgets) from a single thread, with fair-share scheduling and
-//!   admission control ([`ServeQuotas`]). This is the shape that scales
-//!   to 1k+ clients.
+//! [`McServer::serve_event`] runs one poll loop over every client's
+//! nonblocking [`Transport::try_recv`], multiplexing all per-client
+//! session state (sequence/epoch, duplicate suppression, batch budgets)
+//! from a single thread, with fair-share scheduling and admission control
+//! ([`ServeQuotas`]). One thread serves 1k+ clients; a single client
+//! behind a link uses [`crate::endpoint::serve`] instead.
 
-use crate::endpoint::{absorb_mc_stats, frame_reply, serve, ServeReport};
+use crate::endpoint::{absorb_mc_stats, frame_reply, ServeReport};
 use crate::mc::{ChunkStrategy, Mc};
 use crate::xlate::{SharedXlate, XlateStats};
 use softcache_isa::image::Image;
@@ -115,29 +110,6 @@ impl McServer {
         mc
     }
 
-    /// Serve one client per transport until each disconnects, one thread
-    /// per client (`std::thread::scope`), and return the per-client serve
-    /// reports in the same order as `transports`. All threads translate
-    /// through the shared cache; the cache lock is held across each
-    /// translation, so racing tenants never duplicate one.
-    pub fn serve_clients(&self, transports: Vec<Box<dyn Transport>>) -> Vec<ServeReport> {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = transports
-                .into_iter()
-                .map(|mut t| {
-                    scope.spawn(move || {
-                        let mut mc = self.tenant_mc();
-                        serve(&mut mc, t.as_mut())
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("client serve thread panicked"))
-                .collect()
-        })
-    }
-
     /// Serve every client from **one** poll loop until all disconnect,
     /// and return the per-client serve reports in the same order as
     /// `transports`.
@@ -159,8 +131,8 @@ impl McServer {
     /// [`Transport::try_recv`].
     ///
     /// Replies are produced by the same `frame_reply` path as the
-    /// threaded mode, over per-client `Mc` state, so the two modes are
-    /// byte-identical from any client's point of view.
+    /// single-client [`crate::endpoint::serve`], over per-client `Mc`
+    /// state, so a fleet client sees exactly what a lone client would.
     pub fn serve_event(&self, transports: Vec<Box<dyn Transport>>) -> Vec<ServeReport> {
         let mut tenants: Vec<Tenant> = transports
             .into_iter()
@@ -360,11 +332,9 @@ int main() {
         }
     }
 
-    fn run_fleet(
-        event_driven: bool,
-        n: usize,
-        opaque: bool,
-    ) -> (crate::icache::RunOutput, Vec<ServeReport>, XlateStats) {
+    /// Serve `n` clients from one event loop, assert each matches a solo
+    /// fused run, and return the server's reports and xlate ledger.
+    fn run_fleet(n: usize, opaque: bool) -> (Vec<ServeReport>, XlateStats) {
         let image = minic::compile_to_image(SRC, &minic::Options::default()).unwrap();
 
         // Single-client reference run.
@@ -385,13 +355,7 @@ int main() {
             client_ends.push(cc_t);
         }
         let reports = std::thread::scope(|scope| {
-            let server_thread = scope.spawn(|| {
-                if event_driven {
-                    server.serve_event(server_ends)
-                } else {
-                    server.serve_clients(server_ends)
-                }
-            });
+            let server_thread = scope.spawn(|| server.serve_event(server_ends));
             let clients: Vec<_> = client_ends
                 .into_iter()
                 .map(|cc_t| {
@@ -413,35 +377,12 @@ int main() {
             }
             server_thread.join().unwrap()
         });
-        (want, reports, server.xlate_stats())
+        (reports, server.xlate_stats())
     }
 
     #[test]
-    fn serves_concurrent_clients_byte_identically() {
-        let (_, reports, xs) = run_fleet(false, 4, false);
-        assert_eq!(reports.len(), 4);
-        for (i, r) in reports.iter().enumerate() {
-            assert!(r.served > 0, "client {i} was served");
-            assert!(r.disconnected, "client {i} hung up cleanly");
-        }
-        // Translate-once across the threaded fleet: the cache lock is
-        // held across each translation, so even racing tenants never
-        // duplicate one. Identical fetch orders mean no variants.
-        assert!(xs.balanced());
-        assert_eq!(
-            xs.unique_translations,
-            xs.unique_chunks + xs.variant_translations
-        );
-        assert_eq!(xs.evictions, 0);
-        let translated: u64 = reports.iter().map(|r| r.shared_misses).sum();
-        assert_eq!(translated, xs.unique_translations);
-        let hits: u64 = reports.iter().map(|r| r.shared_hits).sum();
-        assert!(hits > 0, "later clients reuse the first one's work");
-    }
-
-    #[test]
-    fn event_loop_matches_threaded_serving() {
-        let (_, reports, xs) = run_fleet(true, 6, false);
+    fn event_loop_serves_fleet_byte_identically() {
+        let (reports, xs) = run_fleet(6, false);
         assert_eq!(reports.len(), 6);
         for (i, r) in reports.iter().enumerate() {
             assert!(r.served > 0, "client {i} was served");
@@ -455,6 +396,9 @@ int main() {
         assert_eq!(xs.evictions, 0);
         let translated: u64 = reports.iter().map(|r| r.shared_misses).sum();
         assert_eq!(translated, xs.unique_chunks, "translate-once held");
+        assert_eq!(translated, xs.unique_translations);
+        let hits: u64 = reports.iter().map(|r| r.shared_hits).sum();
+        assert!(hits > 0, "later clients reuse the first one's work");
     }
 
     #[test]
@@ -462,7 +406,7 @@ int main() {
         // Transports that decline readiness registration push the whole
         // loop onto the polling fallback — which must serve just as
         // correctly, if less efficiently.
-        let (_, reports, xs) = run_fleet(true, 3, true);
+        let (reports, xs) = run_fleet(3, true);
         assert_eq!(reports.len(), 3);
         for (i, r) in reports.iter().enumerate() {
             assert!(r.served > 0, "client {i} was served");

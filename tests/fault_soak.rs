@@ -307,13 +307,14 @@ fn batch_retry_exhaustion_degrades_to_single_chunk() {
 /// A server that serves `crash_after` requests per life, then "crashes":
 /// the Mc (and its residence mirror) is dropped and a fresh one comes up
 /// with the next epoch. The transport survives, as a listening socket
-/// would.
+/// would. Both ends take their receive timeout from `wire`.
 fn spawn_crashy_server(
     image: Image,
     crash_after: u64,
     lives: u32,
+    wire: &LinkPolicy,
 ) -> (std::thread::JoinHandle<u32>, ChannelTransport) {
-    let (cc_t, mut mc_t) = policy_pair(&wire_policy());
+    let (cc_t, mut mc_t) = policy_pair(wire);
     let handle = std::thread::spawn(move || {
         let mut epoch = 1u32;
         for _ in 0..lives {
@@ -341,7 +342,7 @@ fn mc_crash_restart_mid_run_recovers_by_resync() {
 
     // Crash the MC every 12 requests for several lives: the run is
     // guaranteed to straddle multiple epochs.
-    let (server, cc_t) = spawn_crashy_server(image.clone(), 12, 6);
+    let (server, cc_t) = spawn_crashy_server(image.clone(), 12, 6, &wire_policy());
     let mut sys =
         SoftIcacheSystem::with_endpoint(image, soak_config(), McEndpoint::remote(Box::new(cc_t)));
     let out = sys.run(&input).unwrap();
@@ -364,7 +365,7 @@ fn mc_crash_restart_under_a_lossy_link() {
     let input = (w.gen_input)(2);
     let (want_code, want_out) = native_run(&image, &input);
 
-    let (server, cc_t) = spawn_crashy_server(image.clone(), 15, 4);
+    let (server, cc_t) = spawn_crashy_server(image.clone(), 15, 4, &wire_policy());
     let plan = FaultPlan {
         drop_per_mille: 15,
         corrupt_per_mille: 15,
@@ -396,10 +397,18 @@ fn proc_resync_recycles_addresses_without_stale_ras() {
     let image = w.image(false); // ARM path (no indirect jumps)
     let input = (w.gen_input)(2);
     let (want_code, want_out) = native_run(&image, &input);
+    // Effectively-infinite receive timeout: this link drops nothing, so a
+    // timeout can only fire when a starved server thread is late, and the
+    // retransmit it triggers changes the session ledger and stall cycles
+    // that the two runs must share.
+    let wire = LinkPolicy {
+        recv_timeout: Duration::from_secs(300),
+        ..wire_policy()
+    };
 
     let mut runs = Vec::new();
     for superblocks in [true, false] {
-        let (server, cc_t) = spawn_crashy_server(image.clone(), 6, 6);
+        let (server, cc_t) = spawn_crashy_server(image.clone(), 6, 6, &wire);
         let cfg = ProcConfig {
             // Paging-inducing memory keeps refetch traffic flowing, so the
             // run is guaranteed to straddle several server lives.
