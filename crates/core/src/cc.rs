@@ -581,7 +581,11 @@ impl Cc {
     }
 
     fn rpc(&mut self, ep: &mut McEndpoint, req: &Request) -> Result<(Reply, u64), CacheError> {
-        let out = ep.rpc(req)?;
+        let out = ep.rpc(req).inspect_err(|_| {
+            // A failed exchange still worked the session layer: bill its
+            // recovery events now rather than with the next reply.
+            self.stats.link.session.absorb(&ep.take_session());
+        })?;
         let stall = self.stats.link.record_attempts(
             &self.cfg.link,
             out.req_bytes,
@@ -800,6 +804,8 @@ impl Cc {
     /// trap ran for it — only the per-word copy cost applies).
     /// `speculative` selects the insertion temperature: pushed chunks
     /// insert at the distant horizon, demand fetches by refetch history.
+    /// A payload that is not `ChunkPayload::well_formed` is refused with
+    /// [`CacheError::Proto`] before anything is written or registered.
     fn install(
         &mut self,
         machine: &mut Machine,
@@ -808,6 +814,9 @@ impl Cc {
         handler_cycles: u64,
         speculative: bool,
     ) -> Result<(), CacheError> {
+        if !chunk.well_formed() {
+            return Err(CacheError::Proto);
+        }
         let n_words = chunk.words.len() as u32;
         machine
             .mem
@@ -1860,7 +1869,109 @@ enum RaLoc {
 
 #[cfg(test)]
 mod tests {
-    use super::FreeList;
+    use super::{CacheError, Cc, FreeList, IcacheConfig};
+    use crate::endpoint::McEndpoint;
+    use crate::mc::Mc;
+    use crate::protocol::{ChunkPayload, ExitDesc, PatchKind, Reply, Request};
+    use softcache_asm::assemble;
+    use softcache_isa::encode;
+    use softcache_isa::inst::Inst;
+    use softcache_sim::Machine;
+
+    #[test]
+    fn install_refuses_an_out_of_range_stub_slot_before_writing() {
+        let image = assemble("_start: li t0, 0\n.Ll: addi t0, t0, 1\n j .Ll").unwrap();
+        let mut machine = Machine::load_client(&image, &[]);
+        let mut ep = McEndpoint::direct(Mc::new(image.clone()));
+        let cfg = IcacheConfig::default();
+        let mut cc = Cc::new(cfg);
+        // A neighbour installed 16 words into the tcache.
+        let base = cfg.tcache_base;
+        let neighbour = base + 64;
+        let out = ep
+            .rpc(&Request::FetchBlock {
+                orig_pc: image.entry,
+                dest: neighbour,
+            })
+            .unwrap();
+        let Reply::Chunk(chunk) = out.reply else {
+            panic!("expected a chunk");
+        };
+        assert!(cc.free.alloc_at(neighbour, chunk.words.len() as u32 * 4));
+        cc.install(&mut machine, chunk, neighbour, 0, false)
+            .unwrap();
+        let snapshot = |m: &Machine| -> Vec<u32> {
+            (0..32)
+                .map(|i| m.mem.read_u32(base + i * 4).unwrap())
+                .collect()
+        };
+        let before = snapshot(&machine);
+        let (translations, resident) = (cc.stats.translations, cc.resident_chunks());
+
+        // A 2-word chunk at the tcache base whose stub slot points at the
+        // neighbour's first word.
+        let nop = encode(Inst::Nop);
+        let lying = ChunkPayload {
+            orig_start: image.entry + 4,
+            body_words: 1,
+            words: vec![nop, nop],
+            exits: vec![ExitDesc {
+                stub_slot: 16,
+                patch_slot: 1,
+                kind: PatchKind::ReplaceWord,
+                orig_target: image.entry,
+            }],
+            resolved: Vec::new(),
+            extra_orig: vec![image.entry + 8],
+        };
+        let err = cc.install(&mut machine, lying, base, 0, false).unwrap_err();
+        assert!(matches!(err, CacheError::Proto), "{err}");
+        assert_eq!(snapshot(&machine), before, "no byte written");
+        assert_eq!(
+            (cc.stats.translations, cc.resident_chunks()),
+            (translations, resident)
+        );
+        assert!(!cc.is_resident(image.entry + 4), "nothing registered");
+        assert!(
+            cc.seals.verify(&machine, neighbour),
+            "neighbour seal intact"
+        );
+    }
+
+    #[test]
+    fn well_formed_checks_every_slot_and_the_appended_bookkeeping() {
+        let ok = ChunkPayload {
+            orig_start: 0,
+            body_words: 2,
+            words: vec![0; 3],
+            exits: vec![ExitDesc {
+                stub_slot: 2,
+                patch_slot: 1,
+                kind: PatchKind::Retarget,
+                orig_target: 0,
+            }],
+            resolved: vec![crate::protocol::ResolvedRef {
+                slot: 0,
+                orig_target: 0,
+                kind: PatchKind::Retarget,
+            }],
+            extra_orig: vec![8],
+        };
+        assert!(ok.well_formed());
+        let bad: [fn(&mut ChunkPayload); 6] = [
+            |c| c.words.clear(),
+            |c| c.body_words = 4,
+            |c| c.extra_orig.push(12),
+            |c| c.exits[0].stub_slot = 3,
+            |c| c.exits[0].patch_slot = 3,
+            |c| c.resolved[0].slot = 3,
+        ];
+        for (i, spoil) in bad.iter().enumerate() {
+            let mut c = ok.clone();
+            spoil(&mut c);
+            assert!(!c.well_formed(), "mutation {i} must be refused");
+        }
+    }
 
     #[test]
     fn free_list_is_a_bump_pointer_until_released_into() {

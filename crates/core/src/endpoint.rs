@@ -49,7 +49,9 @@ pub struct RpcOutcome {
     pub attempts: u32,
     /// Total backoff wall-time slept between attempts.
     pub backoff: Duration,
-    /// Session recovery events observed during this exchange.
+    /// Session recovery events observed during this exchange, plus those
+    /// of earlier exchanges that ended in an error and were not drained
+    /// by the caller.
     pub session: SessionCounters,
 }
 
@@ -80,6 +82,10 @@ pub enum McEndpoint {
         policy: LinkPolicy,
         /// Last epoch seen from the server (`None` until the handshake).
         epoch: Option<u32>,
+        /// Recovery events not yet handed to the caller: every exchange
+        /// adds to it, a successful one drains it into its outcome, and a
+        /// failed one leaves it for the caller to drain.
+        session: SessionCounters,
     },
 }
 
@@ -101,6 +107,7 @@ impl McEndpoint {
             seq: 0,
             policy,
             epoch: None,
+            session: SessionCounters::default(),
         }
     }
 
@@ -125,6 +132,16 @@ impl McEndpoint {
         match self {
             McEndpoint::Direct(_) => None,
             McEndpoint::Remote { epoch, .. } => *epoch,
+        }
+    }
+
+    /// Drain the recovery events of exchanges that ended in an error
+    /// (`McRestarted`, retry exhaustion, a protocol violation): without
+    /// this they would only surface with the next successful outcome.
+    pub(crate) fn take_session(&mut self) -> SessionCounters {
+        match self {
+            McEndpoint::Direct(_) => SessionCounters::default(),
+            McEndpoint::Remote { session, .. } => std::mem::take(session),
         }
     }
 
@@ -154,19 +171,24 @@ impl McEndpoint {
                 seq,
                 policy,
                 epoch,
+                session,
             } => {
-                let mut hello_events = SessionCounters::default();
                 if epoch.is_none() && !matches!(req, Request::Hello) {
-                    let hello =
-                        remote_rpc(transport.as_mut(), seq, policy, epoch, &Request::Hello)?;
-                    hello_events = hello.session;
+                    let hello = remote_rpc(
+                        transport.as_mut(),
+                        seq,
+                        policy,
+                        epoch,
+                        session,
+                        &Request::Hello,
+                    )?;
                     match hello.reply {
                         Reply::Welcome { epoch: e } => *epoch = Some(e),
                         _ => return Err(CacheError::Proto),
                     }
                 }
-                let mut out = remote_rpc(transport.as_mut(), seq, policy, epoch, req)?;
-                out.session.absorb(&hello_events);
+                let mut out = remote_rpc(transport.as_mut(), seq, policy, epoch, session, req)?;
+                out.session = std::mem::take(session);
                 if matches!(req, Request::Hello) {
                     if let Reply::Welcome { epoch: e } = out.reply {
                         *epoch = Some(e);
@@ -179,19 +201,21 @@ impl McEndpoint {
 }
 
 /// One enveloped exchange over `transport` with retry, backoff, CRC-drop
-/// retransmission, stale-reply discard and epoch-mismatch detection.
+/// retransmission, stale-reply discard and epoch-mismatch detection. Its
+/// recovery events are added to `session` whether it succeeds or not; the
+/// outcome's own `session` is left empty for the caller to fill.
 fn remote_rpc(
     transport: &mut dyn Transport,
     seq: &mut u32,
     policy: &LinkPolicy,
     epoch: &mut Option<u32>,
+    session: &mut SessionCounters,
     req: &Request,
 ) -> Result<RpcOutcome, CacheError> {
     *seq += 1;
     let id = *seq;
     let req_frame = req.encode();
     let wire = seal(id, epoch.unwrap_or(0), &req_frame);
-    let mut session = SessionCounters::default();
     let mut attempts: u32 = 1;
     let mut backoff = Duration::ZERO;
 
@@ -242,7 +266,7 @@ fn remote_rpc(
                         rep_bytes: env.payload.len() as u32,
                         attempts,
                         backoff,
-                        session,
+                        session: SessionCounters::default(),
                     });
                 }
                 Err(EnvelopeError::Runt) => {

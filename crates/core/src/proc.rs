@@ -441,7 +441,9 @@ impl ProcCc {
         machine: &mut Machine,
         req: &Request,
     ) -> Result<Reply, CacheError> {
-        let out = ep.rpc(req)?;
+        let out = ep
+            .rpc(req)
+            .inspect_err(|_| self.stats.link.session.absorb(&ep.take_session()))?;
         let stall = self.stats.link.record_attempts(
             &self.cfg.link,
             out.req_bytes,

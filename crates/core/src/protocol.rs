@@ -82,6 +82,26 @@ pub struct ChunkPayload {
     pub extra_orig: Vec<u32>,
 }
 
+impl ChunkPayload {
+    /// Do the slot indices and the appended-slot bookkeeping agree with
+    /// the word count? Frames are CRC-checked, so only a buggy or
+    /// version-skewed MC can send a payload that fails this; the CC checks
+    /// it before writing anything, so such a payload cannot steer a write
+    /// outside the span the chunk was given.
+    pub(crate) fn well_formed(&self) -> bool {
+        let n = self.words.len();
+        let in_range = |slot: u32| (slot as usize) < n;
+        n > 0
+            && self.body_words as usize <= n
+            && self.extra_orig.len() == n - self.body_words as usize
+            && self
+                .exits
+                .iter()
+                .all(|e| in_range(e.stub_slot) && in_range(e.patch_slot))
+            && self.resolved.iter().all(|r| in_range(r.slot))
+    }
+}
+
 /// CC → MC requests.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Request {

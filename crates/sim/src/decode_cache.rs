@@ -11,10 +11,11 @@
 //! backpatches branch words and miss stubs at runtime, so [`Memory`] keeps
 //! a generation counter and dirty span over its watched code ranges (see
 //! [`Memory::set_code_watch`]). [`DecodeCache::sync`] compares generations
-//! and drops exactly the pages overlapping the dirty span — a stale decode
-//! can therefore never execute. PCs outside the watched ranges are decoded
-//! on every fetch (never memoised), so narrowing the watch can only cost
-//! speed, never correctness.
+//! and clears exactly the slots of the words overlapping the dirty span — a
+//! stale decode can therefore never execute, and a one-word backpatch
+//! leaves every other predecoded word of its page in place. PCs outside
+//! the watched ranges are decoded on every fetch (never memoised), so
+//! narrowing the watch can only cost speed, never correctness.
 
 use crate::cost::CostModel;
 use crate::cpu::SimError;
@@ -76,7 +77,8 @@ impl DecodeCache {
 
     /// Bring the cache up to date with `mem`'s code generation and the
     /// current cost model. Cheap when nothing changed (two compares); on a
-    /// code write, drops only the pages overlapping the dirty span.
+    /// code write, clears only the slots of the words the dirty span
+    /// overlaps (a page is dropped whole only when the span covers it).
     #[inline]
     pub fn sync(&mut self, mem: &mut Memory, cost: &CostModel) {
         if self.cost != *cost {
@@ -91,7 +93,7 @@ impl DecodeCache {
     pub fn sync_code(&mut self, mem: &mut Memory) {
         if self.gen != mem.code_gen() {
             if let Some((lo, hi)) = mem.take_dirty_code() {
-                self.invalidate_span(lo, hi);
+                self.invalidate_span(lo, hi - 1);
             }
             self.gen = mem.code_gen();
         }
@@ -130,16 +132,22 @@ impl DecodeCache {
         self.flush();
     }
 
+    /// Clear the slots of every word overlapping the bytes `[lo, hi]`. A
+    /// page the span covers completely is dropped whole; a partly covered
+    /// one keeps its other slots.
     pub(crate) fn invalidate_span(&mut self, lo: u32, hi: u32) {
-        let first = (lo >> 2) as usize >> PAGE_SHIFT;
-        let last = ((hi.saturating_add(3) >> 2) as usize) >> PAGE_SHIFT;
-        for page in self
-            .pages
-            .iter_mut()
-            .skip(first)
-            .take(last.saturating_sub(first) + 1)
-        {
-            *page = None;
+        let (first, last) = ((lo >> 2) as usize, (hi >> 2) as usize);
+        for page_no in first >> PAGE_SHIFT..=last >> PAGE_SHIFT {
+            let Some(page) = self.pages.get_mut(page_no) else {
+                break;
+            };
+            let base = page_no << PAGE_SHIFT;
+            let (from, to) = (first.max(base), last.min(base + PAGE_SLOTS - 1));
+            if from == base && to == base + PAGE_SLOTS - 1 {
+                *page = None;
+            } else if let Some(slots) = page {
+                slots[from - base..=to - base].fill(EMPTY_SLOT);
+            }
         }
     }
 
@@ -196,7 +204,7 @@ impl DecodeCache {
 mod tests {
     use super::*;
     use softcache_isa::encode;
-    use softcache_isa::inst::AluOp;
+    use softcache_isa::inst::{AluOp, MemWidth};
     use softcache_isa::reg::Reg;
 
     fn nop_word() -> u32 {
@@ -227,6 +235,64 @@ mod tests {
         dc.sync(&mut mem, &CostModel::default());
         let (i2, _, _) = dc.fetch(0, &mem).unwrap();
         assert!(matches!(i2, Inst::AluImm { imm: 7, .. }));
+    }
+
+    /// Is the slot for `pc` memoised?
+    fn cached(dc: &DecodeCache, pc: u32) -> bool {
+        let idx = (pc >> 2) as usize;
+        dc.pages
+            .get(idx >> PAGE_SHIFT)
+            .and_then(Option::as_ref)
+            .is_some_and(|page| page[idx & (PAGE_SLOTS - 1)].cost != EMPTY)
+    }
+
+    /// Two pages of `addi` words, all memoised by a synced cache.
+    fn filled() -> (Memory, DecodeCache) {
+        let mut mem = Memory::new(8192);
+        for pc in (0..8192).step_by(4) {
+            mem.write_u32(pc, addi(1)).unwrap();
+        }
+        let mut dc = DecodeCache::new(CostModel::default());
+        dc.sync(&mut mem, &CostModel::default());
+        for pc in (0..8192).step_by(4) {
+            dc.fetch(pc, &mem).unwrap();
+        }
+        (mem, dc)
+    }
+
+    #[test]
+    fn a_code_write_clears_only_the_words_it_touches() {
+        let (mut mem, mut dc) = filled();
+        mem.write_u32(8, addi(2)).unwrap();
+        dc.sync(&mut mem, &CostModel::default());
+        mem.store(22, MemWidth::H, 0).unwrap(); // upper half of word 20
+        dc.sync(&mut mem, &CostModel::default());
+        for pc in [8, 20] {
+            assert!(!cached(&dc, pc), "written word {pc} cleared");
+        }
+        for pc in [0, 4, 12, 16, 24, 4092, 4096] {
+            assert!(cached(&dc, pc), "untouched word {pc} kept");
+        }
+        let (i, _, _) = dc.fetch(8, &mem).unwrap();
+        assert!(matches!(i, Inst::AluImm { imm: 2, .. }));
+    }
+
+    #[test]
+    fn a_fully_covered_page_is_dropped_whole() {
+        let (_, mut dc) = filled();
+        dc.invalidate_span(0, 4095);
+        assert!(dc.pages[0].is_none(), "covered page dropped");
+        assert!(cached(&dc, 4096), "next page kept");
+        dc.invalidate_span(4, 8191);
+        assert!(
+            dc.pages[1].is_none(),
+            "a span covering a page reaching past its start"
+        );
+        // A watch change dirties everything.
+        let (mut mem, mut dc) = filled();
+        mem.set_code_watch([(0, u32::MAX), (0, 0)]);
+        dc.sync(&mut mem, &CostModel::default());
+        assert!(dc.pages.iter().all(Option::is_none));
     }
 
     #[test]

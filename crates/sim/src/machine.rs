@@ -418,8 +418,8 @@ impl Machine {
         let generation = self.mem.code_gen();
         if self.decode.generation() != generation || self.uops.generation() != generation {
             if let Some((lo, hi)) = self.mem.take_dirty_code() {
-                self.decode.invalidate_span(lo, hi);
-                self.uops.invalidate_span(lo, hi);
+                self.decode.invalidate_span(lo, hi - 1);
+                self.uops.invalidate_span(lo, hi - 1);
                 self.trace.demotions += self.uops.take_threaded_drops();
             }
             self.decode.set_generation(generation);
@@ -579,6 +579,9 @@ impl Machine {
     /// only — architectural results are bit-identical, just slower.
     pub fn pin_slow_span(&mut self, lo: u32, hi: u32) {
         self.uops.pin_span(lo, hi);
+        // The drop may compact the arena without a generation bump,
+        // renumbering the ids that RAS predictions carry.
+        self.ras.clear();
     }
 
     /// Remove slow-path pins lying entirely within `[lo, hi)` (the pinned
@@ -592,11 +595,13 @@ impl Machine {
         self.uops.clear_pins();
     }
 
-    /// Drop every cached decode slot and superblock covering `[lo, hi)`
-    /// *without* a code-write generation bump. The cache controller calls
-    /// this when it evicts a single chunk: the span's addresses are about
-    /// to be recycled, so its host-side lowerings are garbage, but the
-    /// rest of the tcache is untouched and survivors keep their slots.
+    /// Drop every cached decode slot in `[lo, hi)` and every superblock
+    /// whose covered words reach into it, *without* a code-write
+    /// generation bump. The cache controller calls this when it evicts a
+    /// single chunk: the span's addresses are about to be recycled, so its
+    /// host-side lowerings are garbage, but the rest of the tcache is
+    /// untouched and survivors — even in the same page — keep their slots
+    /// and superblocks.
     /// Any write into the span later (a fresh install) still goes through
     /// the ordinary code-write barrier, so this is hygiene — reclaiming
     /// dead lowering state eagerly and keeping the demotion ledger exact —
@@ -610,20 +615,38 @@ impl Machine {
         self.decode.invalidate_span(lo, hi);
         self.uops.invalidate_span(lo, hi);
         self.trace.demotions += self.uops.take_threaded_drops();
-        // Dropped blocks may free the whole arena (ids recycled without a
-        // generation bump), so predictions carrying arena ids must die.
+        // Dropped blocks may free or compact the arena (ids renumbered
+        // without a generation bump), so predictions carrying arena ids
+        // must die.
         self.ras.clear();
     }
 
-    /// Eagerly predecode `[lo, hi)`: fill instruction slots, lower
-    /// superblocks for every word in the range, and pre-link every static
-    /// terminator leg whose successor is already lowered. The cache
-    /// controller calls this after installing or backpatching a chunk — it
-    /// knows the chunk boundaries, so translation-cache code is lowered
-    /// (and chunk-internal successors chained) once at install time
-    /// instead of lazily on first execution. Purely an optimisation: lazy
-    /// fill behind the generation barrier gives identical results. With
-    /// the superblock engine off this is a no-op — eager work on installed
+    /// Lower the superblock at `pc` and memoise the verdict; returns the
+    /// new block's arena id. Threshold 0 means "always threaded": bind
+    /// handlers at lowering time, so eager and lazy lowering produce the
+    /// same tier.
+    fn lower_at(&mut self, pc: u32) -> Option<u32> {
+        let sb = uop::lower(&mut self.decode, &self.mem, &self.cost, pc);
+        let id = self.uops.insert(pc, sb)?;
+        if self.threaded && self.threaded_threshold == 0 && self.uops.thread(id) {
+            self.trace.promotions += 1;
+        }
+        Some(id)
+    }
+
+    /// Eagerly predecode `[lo, hi)` at its block leaders: lower superblocks
+    /// where execution can enter, and pre-link every static terminator leg
+    /// whose successor is already lowered. A linear sweep from `lo` lowers
+    /// a block and hops to the word that ended it (one word past a "not
+    /// worth lowering" verdict), so every word of the range is decoded
+    /// once; then every static leg target inside the range is lowered too.
+    /// Any other entry point fills lazily behind the generation barrier.
+    /// The cache controller calls this after installing or backpatching a
+    /// chunk — it knows the chunk boundaries, so translation-cache code is
+    /// lowered (and chunk-internal successors chained) once at install
+    /// time instead of on first execution. Purely an optimisation: lazy
+    /// fill behind the barrier gives identical results. With the
+    /// superblock engine off this is a no-op — eager work on installed
     /// words that may never execute is pure waste there, while the
     /// per-instruction path fills its decode slots lazily at the same cost.
     pub fn predecode_range(&mut self, lo: u32, hi: u32) {
@@ -632,22 +655,30 @@ impl Machine {
         }
         self.sync_caches();
         let lo = lo & !3;
+        let mut fresh = Vec::new();
         let mut pc = lo;
         while pc < hi {
-            let _ = self.decode.fetch(pc, &self.mem);
-            if self.uops.is_unknown(pc) {
-                let sb = uop::lower(&mut self.decode, &self.mem, &self.cost, pc);
-                let id = self.uops.insert(pc, sb);
-                if let Some(id) = id {
-                    // Threshold 0 = "always threaded": bind handlers at
-                    // predecode time too, so eager and lazy lowering
-                    // produce the same tier.
-                    if self.threaded && self.threaded_threshold == 0 && self.uops.thread(id) {
-                        self.trace.promotions += 1;
-                    }
+            let id = match self.uops.lookup(pc) {
+                uop::Lookup::Id(id) => Some(id),
+                uop::Lookup::NotWorth => None,
+                uop::Lookup::Unknown => {
+                    let id = self.lower_at(pc);
+                    fresh.extend(id);
+                    id
+                }
+            };
+            let words = id.map_or(1, |id| self.uops.block(id).len);
+            pc = pc.wrapping_add(words * INST_BYTES);
+        }
+        while let Some(id) = fresh.pop() {
+            for taken in [false, true] {
+                let Some(t) = self.uops.block(id).leg_target(taken) else {
+                    continue;
+                };
+                if (lo..hi).contains(&t) && self.uops.is_unknown(t) {
+                    fresh.extend(self.lower_at(t));
                 }
             }
-            pc = pc.wrapping_add(INST_BYTES);
         }
         if self.chaining {
             self.uops.link_range(lo, hi);
@@ -707,21 +738,7 @@ impl Machine {
                     let hit = match self.uops.lookup(pc) {
                         uop::Lookup::Id(id) => Some(id),
                         uop::Lookup::NotWorth => None,
-                        uop::Lookup::Unknown => {
-                            let sb = uop::lower(&mut self.decode, &self.mem, &self.cost, pc);
-                            let id = self.uops.insert(pc, sb);
-                            if let Some(id) = id {
-                                // Threshold 0 means "always threaded":
-                                // bind handlers at lowering time.
-                                if self.threaded
-                                    && self.threaded_threshold == 0
-                                    && self.uops.thread(id)
-                                {
-                                    self.trace.promotions += 1;
-                                }
-                            }
-                            id
-                        }
+                        uop::Lookup::Unknown => self.lower_at(pc),
                     };
                     let mut ran = false;
                     let mut resync = false;
@@ -1372,6 +1389,56 @@ _start: li s0, 200
         let mut deep = Machine::load_native(&img, &[]);
         deep.run_native(1_000_000).unwrap();
         assert_eq!(shallow.stats, deep.stats, "depth is prediction-only");
+    }
+
+    /// Four blocks, a mid-block branch target, a trap word and a callee:
+    /// word offsets 0..40.
+    const LEADERS: &str = r#"
+_start: addi t0, zero, 0
+        addi t1, zero, 5
+.Lloop: addi t0, t0, 1
+        addi t2, t2, 3
+        bne t0, t1, .Lloop
+        jal .Lf
+        addi a0, t0, 0
+        ecall 0
+.Lf:    addi t2, t2, 1
+        ret
+"#;
+
+    #[test]
+    fn predecode_lowers_exactly_the_leaders_and_stays_exact() {
+        let img = assemble(LEADERS).unwrap();
+        let base = img.text_base;
+        assert_eq!(img.text.len(), 10);
+        let mut m = Machine::load_native(&img, &[]);
+        m.predecode_range(base, base + 40);
+        // The sweep enters at 0, 20 (after the branch), 24 (after the
+        // call) and 32 (after the ecall); 8 is the loop's leg target.
+        for off in (0..40).step_by(4) {
+            let want = match off {
+                28 => uop::Lookup::NotWorth,
+                0 | 8 | 20 | 24 | 32 => {
+                    uop::Lookup::Id(m.uops.id_at(base + off).expect("leader lowered"))
+                }
+                _ => uop::Lookup::Unknown,
+            };
+            assert_eq!(m.uops.lookup(base + off), want, "offset {off}");
+        }
+        let id = m.uops.id_at(base).unwrap();
+        assert_eq!(m.uops.block(id).len, 5, "entry block runs to the branch");
+        assert_eq!(m.run_native(1_000).unwrap(), 5);
+
+        let mut slow = Machine::load_native(&img, &[]);
+        let code = loop {
+            match slow.step_slow().unwrap() {
+                Step::Running => {}
+                Step::Exited(code) => break code,
+                Step::Trapped(t) => panic!("unexpected trap {t:?}"),
+            }
+        };
+        assert_eq!(code, 5);
+        assert_eq!(m.stats, slow.stats, "bit-identical to the oracle");
     }
 
     #[test]

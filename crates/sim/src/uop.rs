@@ -19,10 +19,11 @@
 //!
 //! Correctness under self-modifying code rides on the same [`Memory`]
 //! code-write generation barrier that guards the decode cache: the machine
-//! keeps both caches' generations in lockstep and a dirty span invalidates
-//! superblock slots just like decode pages, widened downward by the
-//! maximum superblock extent so a block *covering* a patched word is
-//! dropped even when it *starts* before the span. Stores inside a block
+//! keeps both caches' generations in lockstep and a dirty span drops
+//! exactly the superblocks whose covered words it touches — found by
+//! widening the span downward by the maximum superblock extent, so a block
+//! *covering* a patched word dies even when it *starts* before the span,
+//! while its neighbours keep their lowerings. Stores inside a block
 //! re-check the generation and retire only the prefix when they patch
 //! code, so CC backpatching and SMC remain bit-identical to the slow path.
 //!
@@ -67,10 +68,15 @@ const PAGE_SHIFT: u32 = 10;
 /// Longest superblock body (instructions before the terminator).
 pub(crate) const MAX_BODY: usize = 64;
 
-/// Widest span of code a single superblock can cover, in bytes (body plus
-/// terminator). Invalidation extends a dirty span's low edge down by this
-/// much so blocks that *start* before a patched word but *cover* it die.
+/// Widest span of code a single superblock can cover, in bytes: at most
+/// `MAX_BODY` retired instructions plus the word that stopped lowering.
+/// Invalidation extends a dirty span's low edge down by this much so
+/// blocks that *start* before a patched word but *cover* it are found.
 pub(crate) const MAX_SPAN_BYTES: u32 = ((MAX_BODY + 1) * INST_BYTES as usize) as u32;
+
+/// Orphaned arena blocks tolerated beyond the live count before the arena
+/// is compacted: the arena stays within `2 * live + ARENA_SLACK` blocks.
+const ARENA_SLACK: usize = 64;
 
 /// Flattened micro-op opcode. One flat tag per (operation × addressing
 /// form), so the executor dispatches exactly once per micro-op with no
@@ -1588,14 +1594,18 @@ type Page = Box<[u32; PAGE_SLOTS]>;
 ///
 /// Blocks live in a flat arena and pages map `pc >> 2` to arena ids, so a
 /// chained successor is one bounds-checked index away — no page walk on
-/// the trace fast path. Invalidation clears page slots; orphaned arena
-/// entries are unreachable (their slots are gone and every link into them
-/// is severed by the generation stamp) and are reclaimed when the whole
-/// map empties or on [`UopCache::flush`].
+/// the trace fast path. Invalidation clears the page slots of exactly the
+/// blocks it kills; those arena entries become orphans, unreachable once
+/// the next generation bump severs the links into them. The arena is
+/// cleared when no slot maps a block, and compacted (survivors renumbered,
+/// their links remapped) once orphans outnumber live blocks by
+/// [`ARENA_SLACK`].
 pub(crate) struct UopCache {
     pages: Vec<Option<Page>>,
     /// Arena of lowered blocks; slot values and [`Link::id`] index here.
     blocks: Vec<Superblock>,
+    /// Arena blocks some page slot still maps (the rest are orphans).
+    live: usize,
     /// The [`Memory::code_gen`] value the cached blocks are valid for.
     generation: u64,
     /// Half-open PC spans pinned to the slow path: lookups inside them
@@ -1604,9 +1614,9 @@ pub(crate) struct UopCache {
     /// hook). Pins survive invalidation and generation bumps — they are
     /// a policy, not a cache.
     pinned: Vec<(u32, u32)>,
-    /// Threaded blocks dropped with the arena (invalidation storms,
-    /// flushes): the demotion side of the tier ledger, drained by the
-    /// owning machine into its trace telemetry.
+    /// Threaded blocks dropped by invalidation or flush, each counted
+    /// once as its slot is cleared: the demotion side of the tier ledger,
+    /// drained by the owning machine into its trace telemetry.
     threaded_drops: u64,
 }
 
@@ -1615,6 +1625,7 @@ impl UopCache {
         UopCache {
             pages: Vec::new(),
             blocks: Vec::new(),
+            live: 0,
             generation: 0,
             pinned: Vec::new(),
             threaded_drops: 0,
@@ -1646,15 +1657,67 @@ impl UopCache {
 
     /// Drop every superblock (cost-model change or explicit flush).
     pub(crate) fn flush(&mut self) {
-        self.pages.clear();
-        self.reclaim_arena();
+        for page in std::mem::take(&mut self.pages).into_iter().flatten() {
+            self.release_page(&page);
+        }
+        debug_assert_eq!(self.live, 0);
+        self.blocks.clear();
     }
 
-    /// Clear the block arena, counting dying threaded blocks as
-    /// demotions.
-    fn reclaim_arena(&mut self) {
-        self.threaded_drops += self.blocks.iter().filter(|b| b.is_threaded()).count() as u64;
-        self.blocks.clear();
+    /// Account for the block with arena id `id` losing its page slot: one
+    /// live block fewer, and a demotion if it was threaded.
+    fn release(&mut self, id: u32) {
+        self.live -= 1;
+        if self.blocks[id as usize].is_threaded() {
+            self.threaded_drops += 1;
+        }
+    }
+
+    /// [`UopCache::release`] every block a dropped page mapped.
+    fn release_page(&mut self, page: &[u32; PAGE_SLOTS]) {
+        for &slot in page.iter().filter(|&&slot| slot < SLOT_NOT_WORTH) {
+            self.release(slot);
+        }
+    }
+
+    /// Renumber the live blocks densely from 0 and drop the orphans. Every
+    /// page slot and every link (static, inline cache, memoized return)
+    /// into a survivor is rewritten to its new id; a link into an orphan
+    /// is cut to [`Link::NONE`]. Return-address-stack entries also carry
+    /// ids, so the owning machine clears its RAS after any invalidation
+    /// that can reach here without a generation bump.
+    fn compact(&mut self) {
+        const DEAD: u32 = u32::MAX;
+        let mut remap = vec![DEAD; self.blocks.len()];
+        for page in self.pages.iter().flatten() {
+            for &slot in page.iter().filter(|&&slot| slot < SLOT_NOT_WORTH) {
+                remap[slot as usize] = 0;
+            }
+        }
+        for (next, id) in remap.iter_mut().filter(|id| **id != DEAD).enumerate() {
+            *id = next as u32;
+        }
+        let mut fate = remap.iter();
+        self.blocks.retain(|_| fate.next() != Some(&DEAD));
+        for page in self.pages.iter_mut().flatten() {
+            for slot in page.iter_mut().filter(|slot| **slot < SLOT_NOT_WORTH) {
+                *slot = remap[*slot as usize];
+            }
+        }
+        let fix = |link: Link| match remap.get(link.id as usize) {
+            Some(&id) if id != DEAD && link.stamp != NEVER => Link {
+                id,
+                stamp: link.stamp,
+            },
+            _ => Link::NONE,
+        };
+        for sb in &mut self.blocks {
+            sb.link_nt = fix(sb.link_nt);
+            sb.link_tk = fix(sb.link_tk);
+            sb.ic_link = fix(sb.ic_link);
+            sb.ret_link = fix(sb.ret_link);
+        }
+        debug_assert_eq!(self.blocks.len(), self.live);
     }
 
     /// Drain the demotion counter (threaded blocks dropped since the last
@@ -1671,30 +1734,52 @@ impl UopCache {
         self.generation = generation;
     }
 
-    /// Drop every slot whose superblock could cover a byte in `[lo, hi]`:
-    /// the span is widened downward by [`MAX_SPAN_BYTES`] because a block
-    /// is indexed by its *start* PC but covers up to that many bytes ahead.
-    /// Links need no per-span treatment: invalidation only ever happens on
-    /// a generation bump, which severs every outstanding link at once via
-    /// the stamp compare.
+    /// Drop every slot whose covered words intersect the bytes `[lo, hi]`.
+    /// A block starting at `start` with `len` instructions covers
+    /// `start .. start + (len + 1) * 4`: its instructions plus the word
+    /// that stopped lowering, whose rewrite could lengthen the block. A
+    /// "not worth lowering" verdict covers its own word. A block is indexed
+    /// by its *start* PC, so the scan starts [`MAX_SPAN_BYTES`] below `lo`;
+    /// a page the span covers completely is dropped whole.
+    ///
+    /// Links need no per-span treatment: a code write bumps the generation,
+    /// which severs every outstanding link at once via the stamp compare,
+    /// and an invalidation without a bump (a chunk eviction) leaves the
+    /// dropped blocks' code in memory until the next write, so a link
+    /// still reaching one of them runs exactly what the slow path would.
     pub(crate) fn invalidate_span(&mut self, lo: u32, hi: u32) {
-        let lo = lo.saturating_sub(MAX_SPAN_BYTES);
-        let first = (lo >> 2) as usize >> PAGE_SHIFT;
-        let last = ((hi.saturating_add(3) >> 2) as usize) >> PAGE_SHIFT;
-        for page in self
-            .pages
-            .iter_mut()
-            .skip(first)
-            .take(last.saturating_sub(first) + 1)
-        {
-            *page = None;
+        let (lo_word, last) = ((lo >> 2) as usize, (hi >> 2) as usize);
+        let first = (lo.saturating_sub(MAX_SPAN_BYTES) >> 2) as usize;
+        let pages_end = ((last >> PAGE_SHIFT) + 1).min(self.pages.len());
+        for page_no in first >> PAGE_SHIFT..pages_end {
+            let Some(mut page) = self.pages[page_no].take() else {
+                continue;
+            };
+            let base = page_no << PAGE_SHIFT;
+            if lo_word <= base && last >= base + PAGE_SLOTS - 1 {
+                self.release_page(&page);
+                continue;
+            }
+            for idx in first.max(base)..=last.min(base + PAGE_SLOTS - 1) {
+                let slot = &mut page[idx - base];
+                let words = match *slot {
+                    SLOT_UNKNOWN => continue,
+                    SLOT_NOT_WORTH => 1,
+                    id => self.blocks[id as usize].len as usize + 1,
+                };
+                if (idx + words) * INST_BYTES as usize > lo as usize {
+                    if *slot < SLOT_NOT_WORTH {
+                        self.release(*slot);
+                    }
+                    *slot = SLOT_UNKNOWN;
+                }
+            }
+            self.pages[page_no] = Some(page);
         }
-        // Cheap arena reclamation: once no page maps anything, every block
-        // is orphaned. SMC-heavy programs (which invalidate constantly)
-        // blow the whole small map away each time, so this keeps the arena
-        // from growing across patch storms.
-        if self.pages.iter().all(|p| p.is_none()) {
-            self.reclaim_arena();
+        if self.live == 0 {
+            self.blocks.clear();
+        } else if self.blocks.len() - self.live > self.live + ARENA_SLACK {
+            self.compact();
         }
     }
 
@@ -1881,11 +1966,13 @@ impl UopCache {
             self.pages.resize_with(page_no + 1, || None);
         }
         let page = self.pages[page_no].get_or_insert_with(|| Box::new([SLOT_UNKNOWN; PAGE_SLOTS]));
+        debug_assert!(page[slot_no] >= SLOT_NOT_WORTH, "insert over a live block");
         let (slot, id) = match sb {
             Some(sb) => {
                 let id = self.blocks.len() as u32;
                 debug_assert!(id < SLOT_NOT_WORTH, "uop arena exhausted");
                 self.blocks.push(sb);
+                self.live += 1;
                 (id, Some(id))
             }
             None => (SLOT_NOT_WORTH, None),
@@ -2094,17 +2181,102 @@ mod tests {
         assert!(none.is_none(), "unwatched start is not lowered");
     }
 
-    #[test]
-    fn invalidate_span_widens_low_edge() {
+    /// A cache holding the 2-word block `addi; ret` at 0, which covers
+    /// words 0 and 4 plus its stop word 8.
+    fn cache_with_ret_block() -> UopCache {
         let mut uc = UopCache::new();
         let sb = lowered(&[addi(Reg::T0, Reg::T0, 1), encode(Inst::Ret)]).unwrap();
         uc.insert(0, Some(sb));
-        assert!(uc.get(0).is_some());
-        // A write far past the block start but within MAX_SPAN_BYTES must
-        // still kill the slot (the block could cover it).
-        uc.invalidate_span(MAX_SPAN_BYTES - 4, MAX_SPAN_BYTES);
-        assert!(uc.get(0).is_none());
-        assert!(uc.is_unknown(0));
+        uc
+    }
+
+    #[test]
+    fn invalidate_span_kills_a_block_through_its_stop_word() {
+        for (lo, hi) in [(4, 7), (6, 6), (8, 11), (0, 0)] {
+            let mut uc = cache_with_ret_block();
+            uc.invalidate_span(lo, hi);
+            assert!(uc.is_unknown(0), "a write to [{lo}, {hi}] must kill it");
+            assert_eq!(uc.live, 0);
+        }
+        // A block starting a full MAX_SPAN_BYTES - 4 below the write still
+        // covers it through its stop word: the widened scan finds it.
+        let mut uc = UopCache::new();
+        let words: Vec<u32> = (0..MAX_BODY as i32 + 8)
+            .map(|i| addi(Reg::T0, Reg::T0, i))
+            .collect();
+        uc.insert(0, lowered(&words));
+        uc.invalidate_span(MAX_SPAN_BYTES - 4, MAX_SPAN_BYTES - 1);
+        assert!(uc.is_unknown(0), "stop word of a MAX_BODY block");
+    }
+
+    #[test]
+    fn invalidate_span_past_the_stop_word_keeps_the_block() {
+        for (lo, hi) in [(12, 15), (MAX_SPAN_BYTES - 4, MAX_SPAN_BYTES), (64, 4095)] {
+            let mut uc = cache_with_ret_block();
+            uc.invalidate_span(lo, hi);
+            assert!(uc.get(0).is_some(), "a write to [{lo}, {hi}] spares it");
+            assert_eq!(uc.live, 1);
+        }
+        // A "not worth lowering" verdict covers only its own word.
+        let mut uc = UopCache::new();
+        uc.insert(16, None);
+        uc.invalidate_span(20, 23);
+        assert_eq!(uc.lookup(16), Lookup::NotWorth);
+        uc.invalidate_span(19, 19);
+        assert_eq!(uc.lookup(16), Lookup::Unknown);
+    }
+
+    #[test]
+    fn invalidate_span_drops_a_fully_covered_page_whole() {
+        let mut uc = cache_with_ret_block();
+        let page_bytes = (PAGE_SLOTS * INST_BYTES as usize) as u32;
+        let sb = lowered(&[encode(Inst::Ret)]).unwrap();
+        uc.insert(page_bytes + 8, Some(sb));
+        uc.invalidate_span(0, page_bytes - 1);
+        assert!(uc.pages[0].is_none(), "covered page dropped whole");
+        assert!(uc.get(page_bytes + 8).is_some(), "next page untouched");
+        assert_eq!(uc.live, 1);
+        // The watch-change span covers everything.
+        uc.invalidate_span(0, u32::MAX);
+        assert!(uc.pages.iter().all(Option::is_none));
+        assert_eq!((uc.live, uc.blocks.len()), (0, 0));
+    }
+
+    #[test]
+    fn arena_stays_bounded_across_an_eviction_storm() {
+        // Two resident blocks linked to each other, and a stream of 10k
+        // one-block "chunks" lowered into the next page and evicted.
+        let mut uc = UopCache::new();
+        let a = lowered(&[encode(Inst::J { off: 0 })]).unwrap(); // 0 → 4
+        let b = lowered(&[addi(Reg::T0, Reg::T0, 1), encode(Inst::Ret)]).unwrap();
+        let id_a = uc.insert(0, Some(a)).unwrap();
+        let id_b = uc.insert(4, Some(b)).unwrap();
+        uc.set_link(id_a, false, id_b);
+        let mut dropped = 0;
+        for i in 0..10_000u32 {
+            let pc = 4096 + (i % 256) * 8;
+            let mut sb = lowered(&[addi(Reg::T1, Reg::T1, 1), encode(Inst::Ret)]).unwrap();
+            if i % 3 == 0 {
+                sb.thread();
+                dropped += 1;
+            }
+            uc.insert(pc, Some(sb));
+            uc.invalidate_span(pc, pc + 7);
+            assert!(
+                uc.blocks.len() <= 2 * uc.live + ARENA_SLACK,
+                "arena {} with {} live",
+                uc.blocks.len(),
+                uc.live
+            );
+        }
+        assert_eq!(uc.take_threaded_drops(), dropped, "one demotion per drop");
+        // Compaction renumbered the survivors and kept the link between
+        // them pointing at the same block.
+        assert_eq!(uc.live, 2);
+        let (id_a, id_b) = (uc.id_at(0).unwrap(), uc.id_at(4).unwrap());
+        assert_eq!(uc.block(id_a).term_kind(), TermKind::Jump);
+        assert_eq!(uc.block(id_a).link(false).id, id_b);
+        assert_eq!(uc.block(id_b).term_kind(), TermKind::Ret);
     }
 
     #[test]

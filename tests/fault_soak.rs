@@ -381,6 +381,73 @@ fn mc_crash_restart_under_a_lossy_link() {
     server.join().unwrap();
 }
 
+/// Swallows the reply to the `nth` request it carries (recv reports a
+/// timeout instead), once.
+struct NthReplyEater<T: Transport> {
+    inner: T,
+    nth: u64,
+    sent: u64,
+    eat: bool,
+}
+
+impl<T: Transport> Transport for NthReplyEater<T> {
+    fn send(&mut self, frame: Vec<u8>) -> Result<(), NetError> {
+        self.sent += 1;
+        self.eat |= self.sent == self.nth;
+        self.inner.send(frame)
+    }
+    fn recv(&mut self) -> Result<Vec<u8>, NetError> {
+        let f = self.inner.recv()?;
+        if std::mem::take(&mut self.eat) {
+            return Err(NetError::Timeout);
+        }
+        Ok(f)
+    }
+    fn pending(&self) -> usize {
+        self.inner.pending()
+    }
+}
+
+/// The exchange that discovers an MC restart may already have timed out
+/// and retransmitted: the reply to the old MC's last request is lost, and
+/// the retransmission is answered by the restarted one. That exchange
+/// ends in `McRestarted`, and its timeout must still reach the ledger.
+#[test]
+fn timeout_just_before_an_mc_restart_is_counted() {
+    let w = by_name("adpcmenc").unwrap();
+    let image = w.image(true);
+    let input = (w.gen_input)(1);
+    let (want_code, want_out) = native_run(&image, &input);
+
+    // A slow-but-lossless wire: the only timeout is the eaten reply.
+    let wire = LinkPolicy {
+        recv_timeout: Duration::from_secs(5),
+        ..LinkPolicy::default()
+    };
+    let crash_after = 12;
+    let (server, cc_t) = spawn_crashy_server(image.clone(), crash_after, 1, &wire);
+    let eater = NthReplyEater {
+        inner: cc_t,
+        nth: crash_after,
+        sent: 0,
+        eat: false,
+    };
+    let mut sys =
+        SoftIcacheSystem::with_endpoint(image, soak_config(), McEndpoint::remote(Box::new(eater)));
+    let out = sys.run(&input).unwrap();
+    assert_eq!(out.exit_code, want_code);
+    assert_eq!(out.output, want_out);
+    let session = out.cache.link.session;
+    assert_eq!(session.resyncs, 1, "exactly one restart: {session:?}");
+    assert!(
+        session.timeouts >= 1,
+        "the eaten reply is billed: {session:?}"
+    );
+    assert!(session.retries >= 1, "and so is its retransmission");
+    drop(sys);
+    assert_eq!(server.join().unwrap(), 2, "the server restarted once");
+}
+
 // ---- tcache address recycling: RAS / inline-cache hygiene ----
 
 /// DESIGN.md §12 claims `ProcCc::resync` clears the return-address stack
