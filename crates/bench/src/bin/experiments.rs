@@ -109,21 +109,14 @@ fn bench() {
         "workload: {} (outputs and cycle counts verified identical)\n",
         b.workload
     );
-    let mut t = vec![vec![
-        "config".to_string(),
-        "instructions".to_string(),
-        "wall s".to_string(),
-        "sim MIPS".to_string(),
-    ]];
-    for r in &b.rows {
-        t.push(vec![
+    print_table("config|instructions|wall s|sim MIPS", &b.rows, |r| {
+        vec![
             r.config.to_string(),
             r.instructions.to_string(),
             format!("{:.3}", r.wall_seconds),
             format!("{:.1}", r.mips),
-        ]);
-    }
-    print!("{}", render::table(&t));
+        ]
+    });
     println!("\nfast path over slow path: {:.2}x", b.fast_over_slow);
     println!(
         "superblock engine over per-inst fast path: {:.2}x",
@@ -159,94 +152,87 @@ fn bench() {
     );
 
     fn trace_json(t: &softcache_sim::TraceStats) -> String {
-        format!(
-            "{{\"entries\": {}, \"chained\": {}, \"code_write_exits\": {}, \"fault_exits\": {}, \
-             \"ic_hits\": {}, \"ic_fills\": {}, \"ras_hits\": {}, \"ras_mispredicts\": {}, \
-             \"ras_underflows\": {}, \"ras_pushes\": {}, \"ras_overflows\": {}, \
-             \"tier_interp_insts\": {}, \"tier_super_insts\": {}, \"tier_threaded_insts\": {}, \
-             \"promotions\": {}, \"demotions\": {}, \
-             \"breaks\": {{\"fallthrough\": {}, \"branch\": {}, \"jump\": {}, \"call\": {}, \
-             \"jumpreg\": {}, \"callreg\": {}, \"ret\": {}}}}}",
-            t.entries,
-            t.chained,
-            t.code_write_exits,
-            t.fault_exits,
-            t.ic_hits,
-            t.ic_fills,
-            t.ras_hits,
-            t.ras_mispredicts,
-            t.ras_underflows,
-            t.ras_pushes,
-            t.ras_overflows,
-            t.tier_interp_insts,
-            t.tier_super_insts,
-            t.tier_threaded_insts,
-            t.promotions,
-            t.demotions,
-            t.breaks.fallthrough,
-            t.breaks.branch,
-            t.breaks.jump,
-            t.breaks.call,
-            t.breaks.jumpreg,
-            t.breaks.callreg,
-            t.breaks.ret,
-        )
+        let b = &t.breaks;
+        let breaks = render::json_object(&[
+            ("fallthrough", b.fallthrough.to_string()),
+            ("branch", b.branch.to_string()),
+            ("jump", b.jump.to_string()),
+            ("call", b.call.to_string()),
+            ("jumpreg", b.jumpreg.to_string()),
+            ("callreg", b.callreg.to_string()),
+            ("ret", b.ret.to_string()),
+        ]);
+        render::json_object(&[
+            ("entries", t.entries.to_string()),
+            ("chained", t.chained.to_string()),
+            ("code_write_exits", t.code_write_exits.to_string()),
+            ("fault_exits", t.fault_exits.to_string()),
+            ("ic_hits", t.ic_hits.to_string()),
+            ("ic_fills", t.ic_fills.to_string()),
+            ("ras_hits", t.ras_hits.to_string()),
+            ("ras_mispredicts", t.ras_mispredicts.to_string()),
+            ("ras_underflows", t.ras_underflows.to_string()),
+            ("ras_pushes", t.ras_pushes.to_string()),
+            ("ras_overflows", t.ras_overflows.to_string()),
+            ("tier_interp_insts", t.tier_interp_insts.to_string()),
+            ("tier_super_insts", t.tier_super_insts.to_string()),
+            ("tier_threaded_insts", t.tier_threaded_insts.to_string()),
+            ("promotions", t.promotions.to_string()),
+            ("demotions", t.demotions.to_string()),
+            ("breaks", breaks),
+        ])
     }
 
-    let mut json = String::from("{\n");
-    json.push_str(&format!("  \"workload\": \"{}\",\n", b.workload));
-    json.push_str("  \"rows\": [\n");
-    for (i, r) in b.rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"config\": \"{}\", \"instructions\": {}, \"wall_seconds\": {:.6}, \"mips\": {:.3}}}{}\n",
-            r.config,
-            r.instructions,
-            r.wall_seconds,
-            r.mips,
-            if i + 1 == b.rows.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!("  \"fast_over_slow\": {:.3},\n", b.fast_over_slow));
-    json.push_str(&format!(
-        "  \"superblock_over_fast\": {:.3},\n",
-        b.superblock_over_fast
-    ));
-    json.push_str(&format!(
-        "  \"chained_over_unchained\": {:.3},\n",
-        b.chained_over_unchained
-    ));
-    json.push_str(&format!(
-        "  \"ic_over_chained\": {:.3},\n",
-        b.ic_over_chained
-    ));
-    json.push_str(&format!(
-        "  \"ret_break_reduction\": {:.4},\n",
-        b.ret_break_reduction
-    ));
-    json.push_str(&format!(
-        "  \"threaded_over_chained\": {:.3},\n",
-        b.threaded_over_chained
-    ));
-    json.push_str(&format!(
-        "  \"threaded_soft_over_steady\": {:.3},\n",
-        b.threaded_soft_over_steady
-    ));
-    json.push_str(&format!(
-        "  \"trace_ic_off\": {},\n",
-        trace_json(&b.trace_ic_off)
-    ));
-    json.push_str(&format!(
-        "  \"trace_ic_on\": {},\n",
-        trace_json(&b.trace_ic_on)
-    ));
-    json.push_str(&format!(
-        "  \"trace_threaded\": {}\n",
-        trace_json(&b.trace_threaded)
-    ));
-    json.push_str("}\n");
-    std::fs::write("BENCH_interp.json", &json).expect("write BENCH_interp.json");
-    println!("wrote BENCH_interp.json");
+    let rows: Vec<String> = b
+        .rows
+        .iter()
+        .map(|r| {
+            render::json_object(&[
+                ("config", render::json_str(r.config)),
+                ("instructions", r.instructions.to_string()),
+                ("wall_seconds", format!("{:.6}", r.wall_seconds)),
+                ("mips", format!("{:.3}", r.mips)),
+            ])
+        })
+        .collect();
+    let ratio = |x: f64| format!("{x:.3}");
+    let tail = [
+        ("fast_over_slow", ratio(b.fast_over_slow)),
+        ("superblock_over_fast", ratio(b.superblock_over_fast)),
+        ("chained_over_unchained", ratio(b.chained_over_unchained)),
+        ("ic_over_chained", ratio(b.ic_over_chained)),
+        (
+            "ret_break_reduction",
+            format!("{:.4}", b.ret_break_reduction),
+        ),
+        ("threaded_over_chained", ratio(b.threaded_over_chained)),
+        (
+            "threaded_soft_over_steady",
+            ratio(b.threaded_soft_over_steady),
+        ),
+        ("trace_ic_off", trace_json(&b.trace_ic_off)),
+        ("trace_ic_on", trace_json(&b.trace_ic_on)),
+        ("trace_threaded", trace_json(&b.trace_threaded)),
+    ];
+    let head = [("workload", render::json_str(b.workload))];
+    write_bench(
+        "BENCH_interp.json",
+        &render::bench_json(&head, &rows, &tail),
+    );
+}
+
+/// Write one `BENCH_*.json` record to the working directory.
+fn write_bench(path: &str, json: &str) {
+    std::fs::write(path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    println!("wrote {path}");
+}
+
+/// Print a [`render::table`]: `header` names the columns, separated by
+/// `|`, and `cells` renders one row.
+fn print_table<R>(header: &str, rows: &[R], cells: impl Fn(&R) -> Vec<String>) {
+    let mut t = vec![header.split('|').map(String::from).collect()];
+    t.extend(rows.iter().map(cells));
+    print!("{}", render::table(&t));
 }
 
 fn header(title: &str) {
@@ -258,27 +244,21 @@ fn header(title: &str) {
 fn table1() {
     header("Table 1 — dynamically- vs statically-linked text segment sizes");
     let rows = exp::table1();
-    let mut t = vec![vec![
-        "app".to_string(),
-        "dynamic".to_string(),
-        "static".to_string(),
-        "ratio".to_string(),
-        "paper dyn".to_string(),
-        "paper static".to_string(),
-        "paper ratio".to_string(),
-    ]];
-    for r in &rows {
-        t.push(vec![
-            r.name.to_string(),
-            render::human_bytes(r.dynamic_bytes),
-            render::human_bytes(r.static_bytes),
-            format!("{:.2}", r.dynamic_bytes as f64 / r.static_bytes as f64),
-            format!("{}K", r.paper_kb.0),
-            format!("{}K", r.paper_kb.1),
-            format!("{:.2}", r.paper_kb.0 / r.paper_kb.1),
-        ]);
-    }
-    print!("{}", render::table(&t));
+    print_table(
+        "app|dynamic|static|ratio|paper dyn|paper static|paper ratio",
+        &rows,
+        |r| {
+            vec![
+                r.name.to_string(),
+                render::human_bytes(r.dynamic_bytes),
+                render::human_bytes(r.static_bytes),
+                format!("{:.2}", r.dynamic_bytes as f64 / r.static_bytes as f64),
+                format!("{}K", r.paper_kb.0),
+                format!("{}K", r.paper_kb.1),
+                format!("{:.2}", r.paper_kb.0 / r.paper_kb.1),
+            ]
+        },
+    );
     println!("\nShape check: executed text is a small fraction of linked text —");
     println!("the motivation for caching only the active working set (Figure 2).");
 }
@@ -319,32 +299,25 @@ fn fig5() {
 fn evict() {
     header("Eviction policy — flush-all baseline vs TRRIP victim eviction");
     // Scale 1024 = a 256 KB corpus: big enough for a genuine thrash
-    // point, small enough for the CI determinism double-run.
+    // point, small enough to run in `all` on every CI push.
     let (bars, ws) = exp::fig5(1024);
     println!("measured working set: {}\n", render::human_bytes(ws));
-    let mut t = vec![vec![
-        "config".to_string(),
-        "policy".to_string(),
-        "tcache".to_string(),
-        "rel. time".to_string(),
-        "transl.".to_string(),
-        "flushes".to_string(),
-        "evictions".to_string(),
-        "victims/fill".to_string(),
-    ]];
-    for b in &bars[1..] {
-        t.push(vec![
-            b.label.clone(),
-            b.policy.to_string(),
-            render::human_bytes(b.tcache_bytes),
-            format!("{:.3}x", b.relative_time),
-            b.translations.to_string(),
-            b.flushes.to_string(),
-            b.evictions.to_string(),
-            format!("{:.2}", b.victims_per_fill),
-        ]);
-    }
-    print!("{}", render::table(&t));
+    print_table(
+        "config|policy|tcache|rel. time|transl.|flushes|evictions|victims/fill",
+        &bars[1..],
+        |b| {
+            vec![
+                b.label.clone(),
+                b.policy.to_string(),
+                render::human_bytes(b.tcache_bytes),
+                format!("{:.3}x", b.relative_time),
+                b.translations.to_string(),
+                b.flushes.to_string(),
+                b.evictions.to_string(),
+                format!("{:.2}", b.victims_per_fill),
+            ]
+        },
+    );
     for point in ["cliff", "thrash"] {
         let fa = bars
             .iter()
@@ -367,30 +340,25 @@ fn evict() {
     println!("\nevery row's output is byte-identical to native and its install ledger");
     println!("balances (translations == residents + evictions + invalidations + flush losses).");
 
-    let mut json = String::from("{\n  \"rows\": [\n");
-    let rows = &bars[1..];
-    for (i, b) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"label\": \"{}\", \"policy\": \"{}\", \"tcache_bytes\": {}, \
-             \"relative_time\": {:.4}, \"translations\": {}, \"flushes\": {}, \
-             \"evictions\": {}, \"flush_losses\": {}, \"residents\": {}, \
-             \"victims_per_fill\": {:.4}}}{}\n",
-            b.label,
-            b.policy,
-            b.tcache_bytes,
-            b.relative_time,
-            b.translations,
-            b.flushes,
-            b.evictions,
-            b.flush_losses,
-            b.residents,
-            b.victims_per_fill,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write("BENCH_evict.json", &json).expect("write BENCH_evict.json");
-    println!("wrote BENCH_evict.json");
+    let rows: Vec<String> = bars[1..]
+        .iter()
+        .map(|b| {
+            render::json_object(&[
+                ("label", render::json_str(&b.label)),
+                ("policy", render::json_str(b.policy)),
+                ("tcache_bytes", b.tcache_bytes.to_string()),
+                ("relative_time", format!("{:.4}", b.relative_time)),
+                ("translations", b.translations.to_string()),
+                ("flushes", b.flushes.to_string()),
+                ("evictions", b.evictions.to_string()),
+                ("flush_losses", b.flush_losses.to_string()),
+                ("residents", b.residents.to_string()),
+                ("victims_per_fill", format!("{:.4}", b.victims_per_fill)),
+            ])
+        })
+        .collect();
+    write_bench("BENCH_evict.json", &render::bench_json(&[], &rows, &[]));
+    exp::evict_gate(&bars);
 }
 
 fn knee() {
@@ -465,23 +433,15 @@ fn fig8() {
 fn fig9() {
     header("Figure 9 — normalized dynamic footprint (hot code / program size)");
     let rows = exp::fig9();
-    let mut t = vec![vec![
-        "app".to_string(),
-        "hot".to_string(),
-        "static".to_string(),
-        "normalized".to_string(),
-        "paper".to_string(),
-    ]];
-    for r in &rows {
-        t.push(vec![
+    print_table("app|hot|static|normalized|paper", &rows, |r| {
+        vec![
             r.name.to_string(),
             render::human_bytes(r.hot_bytes),
             render::human_bytes(r.static_bytes),
             format!("{:.3}", r.normalized),
             format!("{:.2}", r.paper_normalized),
-        ]);
-    }
-    print!("{}", render::table(&t));
+        ]
+    });
     println!("\nNote: our workloads carry less cold code than gcc-linked MediaBench");
     println!("binaries, so the reduction factor is smaller than the paper's 7-14x;");
     println!("the mechanism (hot set << program) reproduces.");
@@ -498,38 +458,31 @@ fn net_overhead() {
 fn link() {
     header("Batched link protocol — compress95, speculative push depth sweep");
     let rows = exp::link_sweep(64);
-    let mut t = vec![vec![
-        "depth".to_string(),
-        "exchanges".to_string(),
-        "payload B".to_string(),
-        "header B".to_string(),
-        "stall cyc".to_string(),
-        "pushed".to_string(),
-        "hits".to_string(),
-        "wastes".to_string(),
-        "translations".to_string(),
-    ]];
-    for r in &rows {
-        t.push(vec![
-            r.depth.to_string(),
-            r.exchanges.to_string(),
-            r.payload_bytes.to_string(),
-            r.overhead_bytes.to_string(),
-            r.stall_cycles.to_string(),
-            r.prefetched_chunks.to_string(),
-            r.prefetch_hits.to_string(),
-            r.prefetch_wastes.to_string(),
-            r.translations.to_string(),
-        ]);
-    }
-    print!("{}", render::table(&t));
+    print_table(
+        "depth|exchanges|payload B|header B|stall cyc|pushed|hits|wastes|translations",
+        &rows,
+        |r| {
+            vec![
+                r.depth.to_string(),
+                r.exchanges.to_string(),
+                r.payload_bytes.to_string(),
+                r.overhead_bytes.to_string(),
+                r.stall_cycles.to_string(),
+                r.prefetched_chunks.to_string(),
+                r.prefetch_hits.to_string(),
+                r.prefetch_wastes.to_string(),
+                r.translations.to_string(),
+            ]
+        },
+    );
     let base = &rows[0];
     let d2 = rows.iter().find(|r| r.depth == 2).expect("depth 2 row");
-    let cut = |a: u64, b: u64| (1.0 - a as f64 / b.max(1) as f64) * 100.0;
+    let stall_ratio = d2.stall_cycles as f64 / base.stall_cycles.max(1) as f64;
+    let overhead_ratio = d2.overhead_bytes as f64 / base.overhead_bytes.max(1) as f64;
     println!(
         "\ndepth 2 vs depth 0: stall cycles -{:.0}%, header bytes -{:.0}%,",
-        cut(d2.stall_cycles, base.stall_cycles),
-        cut(d2.overhead_bytes, base.overhead_bytes),
+        (1.0 - stall_ratio) * 100.0,
+        (1.0 - overhead_ratio) * 100.0,
     );
     let mips = |r: &exp::LinkRow| r.instructions as f64 / (r.cycles - r.miss_cycles) as f64;
     println!(
@@ -539,55 +492,52 @@ fn link() {
     println!("every depth produced byte-identical output and a balanced hit+waste");
     println!("ledger; header overhead stays the paper's 60 B per exchange.");
 
-    let mut json = String::from("{\n  \"workload\": \"compress95\",\n  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"depth\": {}, \"exchanges\": {}, \"payload_bytes\": {}, \
-             \"overhead_bytes\": {}, \"stall_cycles\": {}, \"miss_cycles\": {}, \
-             \"cycles\": {}, \"instructions\": {}, \"translations\": {}, \
-             \"batches\": {}, \"prefetched_chunks\": {}, \"prefetch_hits\": {}, \
-             \"prefetch_wastes\": {}}}{}\n",
-            r.depth,
-            r.exchanges,
-            r.payload_bytes,
-            r.overhead_bytes,
-            r.stall_cycles,
-            r.miss_cycles,
-            r.cycles,
-            r.instructions,
-            r.translations,
-            r.batches,
-            r.prefetched_chunks,
-            r.prefetch_hits,
-            r.prefetch_wastes,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"stall_cut_depth2\": {:.4},\n  \"overhead_cut_depth2\": {:.4}\n}}\n",
-        1.0 - d2.stall_cycles as f64 / base.stall_cycles.max(1) as f64,
-        1.0 - d2.overhead_bytes as f64 / base.overhead_bytes.max(1) as f64,
-    ));
-    std::fs::write("BENCH_link.json", &json).expect("write BENCH_link.json");
-    println!("wrote BENCH_link.json");
+    let rows: Vec<String> = rows
+        .iter()
+        .map(|r| {
+            render::json_object(&[
+                ("depth", r.depth.to_string()),
+                ("exchanges", r.exchanges.to_string()),
+                ("payload_bytes", r.payload_bytes.to_string()),
+                ("overhead_bytes", r.overhead_bytes.to_string()),
+                ("stall_cycles", r.stall_cycles.to_string()),
+                ("miss_cycles", r.miss_cycles.to_string()),
+                ("cycles", r.cycles.to_string()),
+                ("instructions", r.instructions.to_string()),
+                ("translations", r.translations.to_string()),
+                ("batches", r.batches.to_string()),
+                ("prefetched_chunks", r.prefetched_chunks.to_string()),
+                ("prefetch_hits", r.prefetch_hits.to_string()),
+                ("prefetch_wastes", r.prefetch_wastes.to_string()),
+            ])
+        })
+        .collect();
+    let tail = [
+        ("stall_cut_depth2", format!("{:.4}", 1.0 - stall_ratio)),
+        (
+            "overhead_cut_depth2",
+            format!("{:.4}", 1.0 - overhead_ratio),
+        ),
+    ];
+    let head = [("workload", render::json_str("compress95"))];
+    write_bench("BENCH_link.json", &render::bench_json(&head, &rows, &tail));
 }
 
 fn fanin(scale: bool) {
+    // Refuse a malformed fleet cap before any fleet runs.
+    let counts = scale.then(|| {
+        let cap = std::env::var_os("FANIN_CLIENTS").map(|v| v.to_string_lossy().into_owned());
+        exp::fanin_scale_counts(cap.as_deref()).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        })
+    });
     header("Fan-in — one event-driven MC, N concurrent clients (adpcmenc)");
     let rows = exp::fanin_sweep();
-    let mut t = vec![vec![
-        "clients".to_string(),
-        "depth".to_string(),
-        "exchanges/client".to_string(),
-        "stall cyc/client".to_string(),
-        "wire B/client".to_string(),
-        "pushed/client".to_string(),
-        "unique xl".to_string(),
-        "shared hits".to_string(),
-    ]];
-    for r in &rows {
-        t.push(vec![
+    let cols = "clients|depth|exchanges/client|stall cyc/client|wire B/client|\
+                pushed/client|unique xl|shared hits";
+    print_table(cols, &rows, |r| {
+        vec![
             r.clients.to_string(),
             r.depth.to_string(),
             r.exchanges_per_client.to_string(),
@@ -596,9 +546,8 @@ fn fanin(scale: bool) {
             r.prefetched_per_client.to_string(),
             r.unique_translations.to_string(),
             r.shared_hits_total.to_string(),
-        ]);
-    }
-    print!("{}", render::table(&t));
+        ]
+    });
     println!("\nEvery client's output is byte-identical to the single-client run, and");
     println!("every client's simulated ledger is identical to its siblings': server");
     println!("contention moves wall-clock only, never simulated time. Batching cuts");
@@ -606,26 +555,15 @@ fn fanin(scale: bool) {
     println!("once ledger holds at every width: `unique xl` is invariant in the");
     println!("client count, and every request beyond the first is a shared-cache hit.");
 
-    if !scale {
+    let Some(counts) = counts else {
         return;
-    }
+    };
     header("Fan-in at scale — one event-driven MC poll loop, 1k+ clients (adpcmenc)");
-    let counts = exp::fanin_scale_counts();
     let (rows, sample) = exp::fanin_scale(&counts);
-    let mut t = vec![vec![
-        "clients".to_string(),
-        "req/client".to_string(),
-        "batches/client".to_string(),
-        "lookups/client".to_string(),
-        "shared hits".to_string(),
-        "unique xl".to_string(),
-        "adm rej".to_string(),
-        "queue hwm".to_string(),
-        "wall s".to_string(),
-        "req/s".to_string(),
-    ]];
-    for r in &rows {
-        t.push(vec![
+    let cols = "clients|req/client|batches/client|lookups/client|shared hits|unique xl|\
+                adm rej|queue hwm|wall s|req/s";
+    print_table(cols, &rows, |r| {
+        vec![
             r.clients.to_string(),
             r.requests_per_client.to_string(),
             r.batches_per_client.to_string(),
@@ -636,9 +574,8 @@ fn fanin(scale: bool) {
             r.queue_hwm.to_string(),
             format!("{:.3}", r.wall_seconds),
             format!("{:.0}", r.throughput_rps),
-        ]);
-    }
-    print!("{}", render::table(&t));
+        ]
+    });
     println!(
         "\nper-client telemetry (largest fleet, first {} clients):",
         sample.len()
@@ -659,59 +596,53 @@ fn fanin(scale: bool) {
     println!("every fleet size, and the translate-once ledger holds independent of the");
     println!("client count (unique translations == unique chunks, zero evictions).");
 
-    let mut json =
-        String::from("{\n  \"workload\": \"adpcmenc\",\n  \"depth\": 2,\n  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"clients\": {}, \"requests_per_client\": {}, \
-             \"batches_per_client\": {}, \"lookups_per_client\": {}, \
-             \"shared_hits_total\": {}, \"unique_translations\": {}, \
-             \"unique_chunks\": {}, \"admission_rejections\": {}, \
-             \"queue_hwm\": {}, \"wall_seconds\": {:.4}, \
-             \"throughput_rps\": {:.1}}}{}\n",
-            r.clients,
-            r.requests_per_client,
-            r.batches_per_client,
-            r.lookups_per_client,
-            r.shared_hits_total,
-            r.unique_translations,
-            r.unique_chunks,
-            r.admission_rejections,
-            r.queue_hwm,
-            r.wall_seconds,
-            r.throughput_rps,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write("BENCH_fanin.json", &json).expect("write BENCH_fanin.json");
-    println!("wrote BENCH_fanin.json");
+    let json_rows: Vec<String> = rows
+        .iter()
+        .map(|r| {
+            render::json_object(&[
+                ("clients", r.clients.to_string()),
+                ("requests_per_client", r.requests_per_client.to_string()),
+                ("batches_per_client", r.batches_per_client.to_string()),
+                ("lookups_per_client", r.lookups_per_client.to_string()),
+                ("shared_hits_total", r.shared_hits_total.to_string()),
+                ("unique_translations", r.unique_translations.to_string()),
+                ("unique_chunks", r.unique_chunks.to_string()),
+                ("admission_rejections", r.admission_rejections.to_string()),
+                ("queue_hwm", r.queue_hwm.to_string()),
+                ("wall_seconds", format!("{:.4}", r.wall_seconds)),
+                ("throughput_rps", format!("{:.1}", r.throughput_rps)),
+            ])
+        })
+        .collect();
+    let head = [
+        ("workload", render::json_str("adpcmenc")),
+        ("depth", "2".to_string()),
+    ];
+    write_bench(
+        "BENCH_fanin.json",
+        &render::bench_json(&head, &json_rows, &[]),
+    );
+    exp::fanin_scale_gate(&rows);
 }
 
 fn faults() {
     header("Fault tolerance — adpcmenc over a faulty link (output verified identical)");
     let rows = exp::fault_tolerance();
-    let mut t = vec![vec![
-        "fault plan".to_string(),
-        "events".to_string(),
-        "retries".to_string(),
-        "crc drops".to_string(),
-        "resyncs".to_string(),
-        "recovery cyc".to_string(),
-        "rel. time".to_string(),
-    ]];
-    for r in &rows {
-        t.push(vec![
-            r.label.to_string(),
-            r.events.to_string(),
-            r.retries.to_string(),
-            r.crc_drops.to_string(),
-            r.resyncs.to_string(),
-            r.backoff_cycles.to_string(),
-            format!("{:.3}x", r.relative_time),
-        ]);
-    }
-    print!("{}", render::table(&t));
+    print_table(
+        "fault plan|events|retries|crc drops|resyncs|recovery cyc|rel. time",
+        &rows,
+        |r| {
+            vec![
+                r.label.to_string(),
+                r.events.to_string(),
+                r.retries.to_string(),
+                r.crc_drops.to_string(),
+                r.resyncs.to_string(),
+                r.backoff_cycles.to_string(),
+                format!("{:.3}x", r.relative_time),
+            ]
+        },
+    );
     println!("\nEvery row produced byte-identical output: corruption, loss, reordering");
     println!("and MC restarts degrade into the recovery cycles above, never into a");
     println!("wrong result. The epoch handshake turns a restart into one resync.");
@@ -720,31 +651,23 @@ fn faults() {
 fn chaos() {
     header("Self-healing tcache — seeded memory faults (output verified identical)");
     let rows = exp::chaos_matrix();
-    let mut t = vec![vec![
-        "fault plan".to_string(),
-        "system".to_string(),
-        "flips".to_string(),
-        "seals checked".to_string(),
-        "violations".to_string(),
-        "retransl.".to_string(),
-        "quarantines".to_string(),
-        "pins".to_string(),
-        "rel. time".to_string(),
-    ]];
-    for r in &rows {
-        t.push(vec![
-            r.label.to_string(),
-            r.system.to_string(),
-            r.flips.to_string(),
-            r.seals_checked.to_string(),
-            r.violations.to_string(),
-            r.retranslations.to_string(),
-            r.quarantines.to_string(),
-            r.slow_path_pins.to_string(),
-            format!("{:.3}x", r.relative_time),
-        ]);
-    }
-    print!("{}", render::table(&t));
+    print_table(
+        "fault plan|system|flips|seals checked|violations|retransl.|quarantines|pins|rel. time",
+        &rows,
+        |r| {
+            vec![
+                r.label.to_string(),
+                r.system.to_string(),
+                r.flips.to_string(),
+                r.seals_checked.to_string(),
+                r.violations.to_string(),
+                r.retranslations.to_string(),
+                r.quarantines.to_string(),
+                r.slow_path_pins.to_string(),
+                format!("{:.3}x", r.relative_time),
+            ]
+        },
+    );
     println!("\nEvery row produced byte-identical output: flipped bits in installed");
     println!("code, redirector words and clean dcache lines are caught by their CRC");
     println!("seals before any corrupted instruction retires, and recovery rides the");
@@ -752,53 +675,43 @@ fn chaos() {
     println!("retranslations + slow-path pins); the stuck-chunk row shows the");
     println!("watchdog pinning a repeatedly-corrupted chunk to the interpreter.");
 
-    let mut json = String::from("{\n  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"label\": \"{}\", \"system\": \"{}\", \"flips\": {}, \
-             \"seals_checked\": {}, \"violations\": {}, \"retranslations\": {}, \
-             \"quarantines\": {}, \"slow_path_pins\": {}, \"relative_time\": {:.4}}}{}\n",
-            r.label,
-            r.system,
-            r.flips,
-            r.seals_checked,
-            r.violations,
-            r.retranslations,
-            r.quarantines,
-            r.slow_path_pins,
-            r.relative_time,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write("BENCH_chaos.json", &json).expect("write BENCH_chaos.json");
-    println!("wrote BENCH_chaos.json");
+    let rows: Vec<String> = rows
+        .iter()
+        .map(|r| {
+            render::json_object(&[
+                ("label", render::json_str(r.label)),
+                ("system", render::json_str(r.system)),
+                ("flips", r.flips.to_string()),
+                ("seals_checked", r.seals_checked.to_string()),
+                ("violations", r.violations.to_string()),
+                ("retranslations", r.retranslations.to_string()),
+                ("quarantines", r.quarantines.to_string()),
+                ("slow_path_pins", r.slow_path_pins.to_string()),
+                ("relative_time", format!("{:.4}", r.relative_time)),
+            ])
+        })
+        .collect();
+    write_bench("BENCH_chaos.json", &render::bench_json(&[], &rows, &[]));
 }
 
 fn dcache() {
     header("§3 / Figure 10 — software data cache, prediction-policy ablation (cjpeg)");
     let rows = exp::dcache_policies();
-    let mut t = vec![vec![
-        "policy".to_string(),
-        "fast hits".to_string(),
-        "slow hits".to_string(),
-        "misses".to_string(),
-        "pinned".to_string(),
-        "on-chip cyc".to_string(),
-        "on-chip cyc/access".to_string(),
-    ]];
-    for r in &rows {
-        t.push(vec![
-            r.policy.to_string(),
-            r.fast_hits.to_string(),
-            r.slow_hits.to_string(),
-            r.misses.to_string(),
-            r.pinned_hits.to_string(),
-            r.onchip_cycles.to_string(),
-            format!("{:.2}", r.onchip_cycles as f64 / r.accesses.max(1) as f64),
-        ]);
-    }
-    print!("{}", render::table(&t));
+    print_table(
+        "policy|fast hits|slow hits|misses|pinned|on-chip cyc|on-chip cyc/access",
+        &rows,
+        |r| {
+            vec![
+                r.policy.to_string(),
+                r.fast_hits.to_string(),
+                r.slow_hits.to_string(),
+                r.misses.to_string(),
+                r.pinned_hits.to_string(),
+                r.onchip_cycles.to_string(),
+                format!("{:.2}", r.onchip_cycles as f64 / r.accesses.max(1) as f64),
+            ]
+        },
+    );
     println!("\nPinned (specialised) accesses cost zero checks — Figure 10 top; the");
     println!("predicted path costs one check — Figure 10 bottom; slow hits never");
     println!("leave the chip (the paper's guaranteed latency).");
@@ -820,38 +733,28 @@ fn guarantees() {
         g.longest_missfree_fraction * 100.0,
     );
     println!("\nhardware tag overhead the software cache avoids (direct-mapped, 16B blocks):");
-    let mut t = vec![vec!["cache size".to_string(), "tag overhead".to_string()]];
-    for &(size, f) in &g.tag_overheads {
-        t.push(vec![
-            render::human_bytes(size),
-            format!("{:.1}%", f * 100.0),
-        ]);
-    }
-    print!("{}", render::table(&t));
+    print_table("cache size|tag overhead", &g.tag_overheads, |&(size, f)| {
+        vec![render::human_bytes(size), format!("{:.1}%", f * 100.0)]
+    });
 }
 
 fn power() {
     header("§4 — banked-SRAM power: working-set gating vs always-on hardware cache");
     let rows = exp::power_banks();
-    let mut t = vec![vec![
-        "app".to_string(),
-        "awake banks (mean)".to_string(),
-        "softcache mJ".to_string(),
-        "hw cache mJ".to_string(),
-        "memory saved".to_string(),
-        "chip-level saved".to_string(),
-    ]];
-    for r in &rows {
-        t.push(vec![
-            r.name.to_string(),
-            format!("{:.2} / {}", r.mean_awake_banks, r.total_banks),
-            format!("{:.3}", r.energy_mj),
-            format!("{:.3}", r.hardware_mj),
-            format!("{:.0}%", (1.0 - r.energy_mj / r.hardware_mj) * 100.0),
-            format!("{:.0}%", r.chip_savings * 100.0),
-        ]);
-    }
-    print!("{}", render::table(&t));
+    print_table(
+        "app|awake banks (mean)|softcache mJ|hw cache mJ|memory saved|chip-level saved",
+        &rows,
+        |r| {
+            vec![
+                r.name.to_string(),
+                format!("{:.2} / {}", r.mean_awake_banks, r.total_banks),
+                format!("{:.3}", r.energy_mj),
+                format!("{:.3}", r.hardware_mj),
+                format!("{:.0}%", (1.0 - r.energy_mj / r.hardware_mj) * 100.0),
+                format!("{:.0}%", r.chip_savings * 100.0),
+            ]
+        },
+    );
     println!(
         "\nThe paper's §4: the StrongARM spends {:.0}% of chip power in caches;",
         exp::strongarm_cache_fraction() * 100.0
@@ -863,93 +766,69 @@ fn power() {
 fn ablations() {
     header("Ablation — chunk granularity (basic block vs procedure)");
     let rows = exp::ablation_granularity();
-    let mut t = vec![vec![
-        "app".to_string(),
-        "block fetches".to_string(),
-        "block words".to_string(),
-        "proc fetches".to_string(),
-        "proc words".to_string(),
-    ]];
-    for r in &rows {
-        t.push(vec![
-            r.name.to_string(),
-            r.block.0.to_string(),
-            r.block.1.to_string(),
-            r.procedure.0.to_string(),
-            r.procedure.1.to_string(),
-        ]);
-    }
-    print!("{}", render::table(&t));
+    print_table(
+        "app|block fetches|block words|proc fetches|proc words",
+        &rows,
+        |r| {
+            vec![
+                r.name.to_string(),
+                r.block.0.to_string(),
+                r.block.1.to_string(),
+                r.procedure.0.to_string(),
+                r.procedure.1.to_string(),
+            ]
+        },
+    );
 
     header("Ablation — steady-state rewriting overhead (miss costs excluded)");
     let rows = exp::ablation_steady_state(64);
-    let mut t = vec![vec![
-        "app".to_string(),
-        "native cycles".to_string(),
-        "steady cycles".to_string(),
-        "overhead".to_string(),
-    ]];
-    for r in &rows {
-        t.push(vec![
+    print_table("app|native cycles|steady cycles|overhead", &rows, |r| {
+        vec![
             r.name.to_string(),
             r.native_cycles.to_string(),
             r.steady_cycles.to_string(),
             format!("{:+.1}%", r.overhead * 100.0),
-        ]);
-    }
-    print!("{}", render::table(&t));
+        ]
+    });
     println!("\nThe residual overhead is the extra fall-through jumps the paper notes");
     println!("\"could be optimized away\" (two added instructions per block).");
 
     header("Ablation — superblock chunking (the paper's 'trace or hyperblock' note)");
     let rows = exp::ablation_superblock(64);
-    let mut t = vec![vec![
-        "max blocks/chunk".to_string(),
-        "chunks fetched".to_string(),
-        "words shipped".to_string(),
-        "miss traps".to_string(),
-        "cycles".to_string(),
-    ]];
-    for r in &rows {
-        t.push(vec![
-            r.max_blocks.to_string(),
-            r.translations.to_string(),
-            r.words_installed.to_string(),
-            r.miss_traps.to_string(),
-            r.cycles.to_string(),
-        ]);
-    }
-    print!("{}", render::table(&t));
+    print_table(
+        "max blocks/chunk|chunks fetched|words shipped|miss traps|cycles",
+        &rows,
+        |r| {
+            vec![
+                r.max_blocks.to_string(),
+                r.translations.to_string(),
+                r.words_installed.to_string(),
+                r.miss_traps.to_string(),
+                r.cycles.to_string(),
+            ]
+        },
+    );
     println!("\nInlining fall-through chains trades duplicated tail code for fewer");
     println!("round trips and fewer fall-slot misses.");
 
     header("Ablation — dcache write policy (write-back vs write-through)");
     let rows = exp::ablation_write_policy();
-    let mut t = vec![vec![
-        "policy".to_string(),
-        "store messages".to_string(),
-        "payload bytes".to_string(),
-        "cycles".to_string(),
-    ]];
-    for r in &rows {
-        t.push(vec![
+    print_table("policy|store messages|payload bytes|cycles", &rows, |r| {
+        vec![
             r.policy.to_string(),
             r.store_messages.to_string(),
             r.payload_bytes.to_string(),
             r.cycles.to_string(),
-        ]);
-    }
-    print!("{}", render::table(&t));
+        ]
+    });
     println!("\nWrite-through keeps server memory instantly consistent at the cost of");
     println!("one round trip per store; write-back batches dirty data into evictions.");
 
     header("Ablation — hardware associativity vs the fully associative tcache");
     let rows = exp::ablation_associativity();
-    let mut t = vec![vec!["config".to_string(), "miss rate".to_string()]];
-    for r in &rows {
-        t.push(vec![r.config.clone(), format!("{:.3}%", r.miss_rate)]);
-    }
-    print!("{}", render::table(&t));
+    print_table("config|miss rate", &rows, |r| {
+        vec![r.config.clone(), format!("{:.3}%", r.miss_rate)]
+    });
     println!("\nAt the knee size, direct-mapped conflict misses persist; associativity");
     println!("removes them — the tcache is fully associative for free (no tags).");
 }

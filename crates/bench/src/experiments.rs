@@ -12,7 +12,9 @@ use softcache_core::icache::SoftIcacheSystem;
 use softcache_core::power::strongarm;
 use softcache_core::proc::{ProcCacheSystem, ProcConfig};
 use softcache_core::scache::ScacheConfig;
-use softcache_core::{BankConfig, CacheError, ChunkStrategy, IcacheConfig, TcachePolicy};
+use softcache_core::{
+    BankConfig, CacheError, ChunkStrategy, IcacheConfig, RunOutput, ServeReport, TcachePolicy,
+};
 use softcache_hwcache::{tags, SetAssocCache};
 use softcache_isa::Image;
 use softcache_minic as minic;
@@ -28,10 +30,6 @@ use std::collections::HashSet;
 /// panic propagates at scope exit, so the in-worker shape assertions keep
 /// their teeth.
 pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    // Escape hatch for timing comparisons and single-threaded debugging.
-    if std::env::var_os("SOFTCACHE_SERIAL").is_some() {
-        return items.iter().map(f).collect();
-    }
     let mut out: Vec<Option<R>> = Vec::new();
     out.resize_with(items.len(), || None);
     std::thread::scope(|scope| {
@@ -42,6 +40,21 @@ pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec
     out.into_iter()
         .map(|r| r.expect("sweep worker completed"))
         .collect()
+}
+
+/// [`par_map`] over configurations that must not change what the program
+/// computes: `f` returns each configuration's row with the program output,
+/// and every output must equal the first one.
+fn par_rows<T: Sync, R: Send>(
+    items: &[T],
+    knob: &str,
+    f: impl Fn(&T) -> (R, Vec<u8>) + Sync,
+) -> Vec<R> {
+    let results = par_map(items, f);
+    for (_, output) in &results[1..] {
+        assert_eq!(&results[0].1, output, "{knob} changed semantics");
+    }
+    results.into_iter().map(|(row, _)| row).collect()
 }
 
 /// Compile a workload with the cold library linked in (the footprint
@@ -259,6 +272,65 @@ pub fn fig5(scale: u32) -> (Vec<Fig5Bar>, u32) {
     bars.push(rest.next().expect("cliff trrip"));
     bars.extend(rest);
     (bars, footprint)
+}
+
+/// The eviction-policy gate over a [`fig5`] bar set, asserted by the
+/// `evict` mode. At the measured cliff (the same size under both
+/// policies) flush-all flushes and never evicts, while TRRIP evicts
+/// victims, retranslates at most half as often and runs faster. At the
+/// thrash size TRRIP is strictly better in retranslations and in time.
+/// Every TRRIP bar that evicts reports its victims per fill. The `fig5`
+/// mode does not apply it: at its 2 MB corpus the cliff is thin.
+pub fn evict_gate(bars: &[Fig5Bar]) {
+    let bar = |point: &str, policy: &str| {
+        bars.iter()
+            .find(|b| b.label.starts_with(point) && b.policy == policy)
+            .unwrap_or_else(|| panic!("no {point} bar under {policy}"))
+    };
+    let (cliff_fa, cliff_tr) = (bar("cliff", "flush-all"), bar("cliff", "trrip"));
+    let (thrash_fa, thrash_tr) = (bar("thrash", "flush-all"), bar("thrash", "trrip"));
+    assert_eq!(cliff_fa.tcache_bytes, cliff_tr.tcache_bytes, "cliff size");
+    assert!(
+        cliff_fa.flushes > 0 && cliff_fa.evictions == 0,
+        "flush-all cliff must flush, never evict: {cliff_fa:?}"
+    );
+    assert!(
+        cliff_tr.evictions > 0,
+        "TRRIP cliff must evict: {cliff_tr:?}"
+    );
+    assert!(
+        2 * cliff_tr.translations <= cliff_fa.translations,
+        "TRRIP must halve cliff retranslations: {} vs {}",
+        cliff_tr.translations,
+        cliff_fa.translations
+    );
+    assert!(
+        cliff_tr.relative_time < cliff_fa.relative_time,
+        "TRRIP cliff {:.3} must beat flush-all {:.3}",
+        cliff_tr.relative_time,
+        cliff_fa.relative_time
+    );
+    assert!(
+        thrash_tr.translations < thrash_fa.translations,
+        "TRRIP thrash {} must improve on flush-all {}",
+        thrash_tr.translations,
+        thrash_fa.translations
+    );
+    assert!(
+        thrash_tr.relative_time < thrash_fa.relative_time,
+        "TRRIP thrash {:.3} must beat flush-all {:.3}",
+        thrash_tr.relative_time,
+        thrash_fa.relative_time
+    );
+    for b in bars
+        .iter()
+        .filter(|b| b.policy == "trrip" && b.evictions > 0)
+    {
+        assert!(
+            b.victims_per_fill > 0.0,
+            "evicting bar without victims: {b:?}"
+        );
+    }
 }
 
 // ------------------------------------------------------- knee auto-sizing
@@ -765,32 +837,11 @@ pub struct ChaosRow {
 /// results.
 pub fn chaos_matrix() -> Vec<ChaosRow> {
     use softcache_core::datarun::SoftDcacheSystem;
-    use softcache_core::integrity::{IntegrityStats, MemFaultPlan};
+    use softcache_core::integrity::MemFaultPlan;
 
     let w = by_name("adpcmenc").expect("workload");
     let image = w.image(true);
     let input = (w.gen_input)(2);
-
-    fn row(
-        label: &'static str,
-        system: &'static str,
-        s: IntegrityStats,
-        cycles: u64,
-        clean_cycles: u64,
-    ) -> ChaosRow {
-        assert!(s.balanced(), "{system}/{label}: unbalanced ledger {s:?}");
-        ChaosRow {
-            label,
-            system,
-            flips: s.code_flips + s.redirector_flips + s.dcache_flips,
-            seals_checked: s.seals_checked,
-            violations: s.violations,
-            retranslations: s.retranslations,
-            quarantines: s.quarantines,
-            slow_path_pins: s.slow_path_pins,
-            relative_time: cycles as f64 / clean_cycles as f64,
-        }
-    }
 
     let mut rows = Vec::new();
 
@@ -832,7 +883,7 @@ pub fn chaos_matrix() -> Vec<ChaosRow> {
     for (label, plan) in bb_plans {
         let out = bb(plan);
         assert_eq!(out.output, clean.output, "{label}: output diverged");
-        rows.push(row(
+        rows.push(chaos_row(
             label,
             "bb icache",
             out.cache.integrity,
@@ -876,7 +927,7 @@ pub fn chaos_matrix() -> Vec<ChaosRow> {
             on.trace
         );
         assert_eq!(off.trace.tier_threaded_insts, 0);
-        rows.push(row(
+        rows.push(chaos_row(
             "code 6% + redirector 3% (threaded tier)",
             "bb icache",
             on.cache.integrity,
@@ -911,7 +962,7 @@ pub fn chaos_matrix() -> Vec<ChaosRow> {
             "the watchdog must pin the stuck chunk: {:?}",
             out.cache.integrity
         );
-        rows.push(row(
+        rows.push(chaos_row(
             "stuck chunk (watchdog)",
             "bb icache",
             out.cache.integrity,
@@ -938,7 +989,7 @@ pub fn chaos_matrix() -> Vec<ChaosRow> {
             ..MemFaultPlan::clean(6)
         });
         assert_eq!(out.output, c.output, "dcache flips: output diverged");
-        rows.push(row(
+        rows.push(chaos_row(
             "dcache flips 0.1%",
             "dcache",
             out.icache.integrity,
@@ -985,7 +1036,7 @@ pub fn chaos_matrix() -> Vec<ChaosRow> {
         for (label, plan) in full_plans {
             let out = run(plan);
             assert_eq!(out.output, c.output, "{label}: output diverged");
-            rows.push(row(
+            rows.push(chaos_row(
                 label,
                 "full system",
                 out.icache.integrity,
@@ -1014,7 +1065,7 @@ pub fn chaos_matrix() -> Vec<ChaosRow> {
             ..MemFaultPlan::clean(11)
         });
         assert_eq!(out.output, c.output, "proc chaos: output diverged");
-        rows.push(row(
+        rows.push(chaos_row(
             "paging + code 4% + redirector 4%",
             "proc cache",
             out.cache.integrity,
@@ -1023,7 +1074,39 @@ pub fn chaos_matrix() -> Vec<ChaosRow> {
         ));
     }
 
+    assert!(
+        rows.iter().map(|r| r.flips).sum::<u64>() > 0,
+        "the matrix must land flips"
+    );
     rows
+}
+
+/// One checked chaos row: the recovery ledger balances (`violations ==
+/// retranslations + slow_path_pins`) and no seal failed more often than
+/// seals were checked.
+fn chaos_row(
+    label: &'static str,
+    system: &'static str,
+    s: softcache_core::integrity::IntegrityStats,
+    cycles: u64,
+    clean_cycles: u64,
+) -> ChaosRow {
+    assert!(s.balanced(), "{system}/{label}: unbalanced ledger {s:?}");
+    assert!(
+        s.violations <= s.seals_checked,
+        "{system}/{label}: more violations than seals checked {s:?}"
+    );
+    ChaosRow {
+        label,
+        system,
+        flips: s.code_flips + s.redirector_flips + s.dcache_flips,
+        seals_checked: s.seals_checked,
+        violations: s.violations,
+        retranslations: s.retranslations,
+        quarantines: s.quarantines,
+        slow_path_pins: s.slow_path_pins,
+        relative_time: cycles as f64 / clean_cycles as f64,
+    }
 }
 
 // ------------------------------------------------------ batched-link sweep
@@ -1070,7 +1153,7 @@ pub fn link_sweep(scale: u32) -> Vec<LinkRow> {
     let w = by_name("compress95").expect("workload");
     let image = w.image(true);
     let input = (w.gen_input)(scale);
-    let results = par_map(&[0u32, 1, 2, 4], |&depth| {
+    par_rows(&[0u32, 1, 2, 4], "push depth", |&depth| {
         let cfg = IcacheConfig {
             tcache_size: 256 * 1024,
             link: LinkModel::default(),
@@ -1102,11 +1185,7 @@ pub fn link_sweep(scale: u32) -> Vec<LinkRow> {
             prefetch_wastes: l.prefetch_wastes,
         };
         (row, out.output)
-    });
-    for (_, output) in &results[1..] {
-        assert_eq!(&results[0].1, output, "push depth changed semantics");
-    }
-    results.into_iter().map(|(row, _)| row).collect()
+    })
 }
 
 // ------------------------------------------------------------ fan-in sweep
@@ -1140,115 +1219,172 @@ pub struct FaninRow {
     pub shared_hits_total: u64,
 }
 
-/// Fan-in sweep: one [`McServer`] over a shared image serving 1/2/4/8
-/// concurrent adpcmenc clients at push depths 0 and 2. Every client's
-/// output is asserted byte-identical to a fused single-client run, and
-/// every client's simulated ledger is asserted identical to its siblings'
-/// — contention shifts wall-clock only, never simulated time.
-pub fn fanin_sweep() -> Vec<FaninRow> {
-    use softcache_core::endpoint::McEndpoint;
-    use softcache_core::McServer;
-    use softcache_net::{policy_pair, LinkPolicy, Transport};
-    use std::time::Duration;
+/// What one fan-in fleet produced, after [`run_fleet`] asserted every
+/// per-client and fleet-wide ledger.
+struct Fleet {
+    /// Client 0's run; every client's output and simulated ledger equal it.
+    out: RunOutput,
+    /// The server's per-client reports, in client order.
+    reports: Vec<ServeReport>,
+    /// Shared-cache lookups per client (identical across clients).
+    lookups_per_client: u64,
+    /// Shared-cache hits summed over the fleet.
+    shared_hits_total: u64,
+    /// The server's translation-cache ledger.
+    xlate: softcache_core::XlateStats,
+    /// Wall-clock seconds for the whole fleet.
+    wall_seconds: f64,
+}
 
+/// The adpcmenc image and input every fan-in client runs, plus the fused
+/// single-client run each fleet is held to.
+fn fanin_setup() -> (Image, Vec<u8>, RunOutput) {
     let w = by_name("adpcmenc").expect("workload");
     let image = w.image(true);
     let input = (w.gen_input)(2);
-
-    // One policy drives both ends of every link: the receive timeout
-    // rides with it instead of living in per-test constants, sized to
-    // survive scheduler starvation when N + 1 threads share few cores (a
-    // timeout would retransmit and change a client's simulated ledger).
-    let policy = LinkPolicy {
-        recv_timeout: Duration::from_secs(5),
-        ..LinkPolicy::default()
-    };
-
     let mut solo = SoftIcacheSystem::new(image.clone(), IcacheConfig::default());
     let want = solo.run(&input).expect("solo reference run");
+    (image, input, want)
+}
 
-    let mut rows = Vec::new();
-    for &depth in &[0u32, 2] {
-        for &n in &[1u32, 2, 4, 8] {
-            let server = McServer::new(image.clone());
-            let mut server_ends: Vec<Box<dyn Transport>> = Vec::new();
-            let mut client_ends = Vec::new();
-            for _ in 0..n {
-                let (cc_t, mc_t) = policy_pair(&policy);
-                server_ends.push(Box::new(mc_t));
-                client_ends.push(cc_t);
-            }
-            let (outs, reports) = std::thread::scope(|scope| {
-                let server_thread = scope.spawn(|| server.serve_event(server_ends));
-                let handles: Vec<_> = client_ends
-                    .into_iter()
-                    .map(|cc_t| {
-                        let image = image.clone();
-                        let input = &input;
-                        scope.spawn(move || {
-                            let cfg = IcacheConfig {
-                                link: LinkModel::default(),
-                                prefetch_depth: depth,
-                                ..IcacheConfig::default()
-                            };
-                            let mut sys = SoftIcacheSystem::with_endpoint(
-                                image,
-                                cfg,
-                                McEndpoint::remote_with_policy(Box::new(cc_t), policy),
-                            );
-                            sys.run(input).expect("fan-in client run")
-                        })
-                    })
-                    .collect();
-                let outs: Vec<_> = handles
-                    .into_iter()
-                    .map(|h| h.join().expect("client thread"))
-                    .collect();
-                let reports = server_thread.join().expect("server thread");
-                for r in &reports {
-                    assert!(r.disconnected, "client hangs up cleanly");
+/// Drive `n` identical clients at push depth `depth` against one
+/// event-driven [`softcache_core::McServer`]. A pool of `min(n, 8)`
+/// workers takes the clients in turn, which keeps several in flight at the
+/// multiplexer without spawning n OS threads. Asserts that every client's
+/// output equals `want` and its simulated ledger and server report equal
+/// client 0's — contention shifts wall-clock only, never simulated time —
+/// and the translate-once ledger: each chunk is rewritten exactly once and
+/// every other lookup is a shared-cache hit.
+fn run_fleet(image: &Image, input: &[u8], want: &RunOutput, n: u32, depth: u32) -> Fleet {
+    use softcache_core::endpoint::McEndpoint;
+    use softcache_core::McServer;
+    use softcache_net::{policy_pair, LinkPolicy, Transport};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
+    use std::time::{Duration, Instant};
+
+    // Effectively-infinite receive timeout: the determinism assertions
+    // require that no client EVER times out and retransmits (that would
+    // change its simulated ledger), and on a shared host the OS can
+    // deschedule the server for tens of seconds — no finite timeout is
+    // provably safe. Liveness is guarded elsewhere: the event loop's
+    // idle sweep rescues lost wakeups within ~100 ms, so a hung fleet
+    // here would indicate a real serving bug, and the CI job timeout
+    // catches it.
+    let policy = LinkPolicy {
+        recv_timeout: Duration::from_secs(300),
+        ..LinkPolicy::default()
+    };
+    let server = McServer::new(image.clone());
+    let mut server_ends: Vec<Box<dyn Transport>> = Vec::with_capacity(n as usize);
+    let mut client_ends = Vec::with_capacity(n as usize);
+    for _ in 0..n {
+        let (cc_t, mc_t) = policy_pair(&policy);
+        server_ends.push(Box::new(mc_t));
+        client_ends.push(Mutex::new(Some(cc_t)));
+    }
+    let outputs: Vec<Mutex<Option<RunOutput>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let next = AtomicUsize::new(0);
+    let start = Instant::now();
+    let reports = std::thread::scope(|scope| {
+        let server_thread = scope.spawn(|| server.serve_event(server_ends));
+        for _ in 0..(n as usize).min(8) {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n as usize {
+                    break;
                 }
-                (outs, reports)
-            });
-            for out in &outs {
-                assert_eq!(out.output, want.output, "fan-in changed semantics");
-                assert_eq!(out.exit_code, want.exit_code, "fan-in exit code");
-                assert_eq!(
-                    out.exec.cycles, outs[0].exec.cycles,
-                    "per-client determinism"
+                let t = client_ends[i]
+                    .lock()
+                    .expect("no worker panicked")
+                    .take()
+                    .expect("each client driven once");
+                let cfg = IcacheConfig {
+                    link: LinkModel::default(),
+                    prefetch_depth: depth,
+                    ..IcacheConfig::default()
+                };
+                let mut sys = SoftIcacheSystem::with_endpoint(
+                    image.clone(),
+                    cfg,
+                    McEndpoint::remote_with_policy(Box::new(t), policy),
                 );
-                assert_eq!(out.cache.link, outs[0].cache.link, "per-client determinism");
-            }
-            // Translate-once ledger over the fleet: which client
-            // rewrote a given chunk is scheduling-dependent, but the
-            // totals are not — per-client lookup counts are identical,
-            // every chunk is rewritten exactly once, and everything else
-            // is a hit.
-            let xs = server.xlate_stats();
-            assert!(xs.balanced(), "xlate ledger unbalanced");
-            assert_eq!(xs.variant_translations, 0, "identical clients, one variant");
-            assert_eq!(xs.evictions, 0, "ample budget: nothing evicted");
-            let lookups0 = reports[0].shared_hits + reports[0].shared_misses;
-            let mut hits_total = 0u64;
-            let mut misses_total = 0u64;
-            for r in &reports {
-                assert_eq!(r.shared_hits + r.shared_misses, lookups0, "lookups/client");
-                hits_total += r.shared_hits;
-                misses_total += r.shared_misses;
-            }
-            assert_eq!(misses_total, xs.unique_translations, "translate-once");
-            assert_eq!(hits_total, n as u64 * lookups0 - xs.unique_translations);
-            let l = outs[0].cache.link;
+                let out = sys.run(input).expect("fan-in client run");
+                *outputs[i].lock().expect("no worker panicked") = Some(out);
+            });
+        }
+        server_thread.join().expect("server thread")
+    });
+    let wall_seconds = start.elapsed().as_secs_f64();
+    let outs: Vec<RunOutput> = outputs
+        .into_iter()
+        .map(|m| {
+            m.into_inner()
+                .expect("no worker panicked")
+                .expect("client ran")
+        })
+        .collect();
+    for (i, out) in outs.iter().enumerate() {
+        assert_eq!(out.output, want.output, "client {i} output diverged");
+        assert_eq!(out.exit_code, want.exit_code, "client {i} exit code");
+        assert_eq!(out.exec.cycles, outs[0].exec.cycles, "client {i} cycles");
+        assert_eq!(out.cache.link, outs[0].cache.link, "client {i} ledger");
+    }
+    let xs = server.xlate_stats();
+    assert!(xs.balanced(), "xlate ledger unbalanced");
+    assert_eq!(xs.variant_translations, 0, "identical clients, one variant");
+    assert_eq!(xs.evictions, 0, "ample budget: nothing evicted");
+    assert_eq!(
+        xs.unique_translations, xs.unique_chunks,
+        "translate-once must hold at n={n}"
+    );
+    let r0 = reports[0];
+    let lookups0 = r0.shared_hits + r0.shared_misses;
+    for (i, r) in reports.iter().enumerate() {
+        assert!(r.disconnected, "client {i} hung up cleanly");
+        assert_eq!(r.lost_wakeups, 0, "client {i} needed a wakeup rescue");
+        assert_eq!(r.served, r0.served, "client {i} request count");
+        assert_eq!(r.batches, r0.batches, "client {i} batch count");
+        assert_eq!(
+            r.shared_hits + r.shared_misses,
+            lookups0,
+            "client {i} lookups"
+        );
+    }
+    let misses: u64 = reports.iter().map(|r| r.shared_misses).sum();
+    let hits: u64 = reports.iter().map(|r| r.shared_hits).sum();
+    assert_eq!(misses, xs.unique_translations, "translate-once");
+    assert_eq!(hits, n as u64 * lookups0 - xs.unique_translations);
+    Fleet {
+        out: outs.into_iter().next().expect("n >= 1"),
+        reports,
+        lookups_per_client: lookups0,
+        shared_hits_total: hits,
+        xlate: xs,
+        wall_seconds,
+    }
+}
+
+/// Fan-in sweep: one [`softcache_core::McServer`] over a shared image
+/// serving 1/2/4/8 concurrent adpcmenc clients at push depths 0 and 2,
+/// every fleet checked by [`run_fleet`].
+pub fn fanin_sweep() -> Vec<FaninRow> {
+    let (image, input, want) = fanin_setup();
+    let mut rows = Vec::new();
+    for depth in [0u32, 2] {
+        for n in [1u32, 2, 4, 8] {
+            let f = run_fleet(&image, &input, &want, n, depth);
+            let l = f.out.cache.link;
             rows.push(FaninRow {
                 clients: n,
                 depth,
                 exchanges_per_client: l.messages / 2,
                 stall_cycles_per_client: l.stall_cycles,
                 wire_bytes_per_client: l.payload_bytes + l.overhead_bytes,
-                cycles_per_client: outs[0].exec.cycles,
+                cycles_per_client: f.out.exec.cycles,
                 prefetched_per_client: l.prefetched_chunks,
-                unique_translations: xs.unique_translations,
-                shared_hits_total: hits_total,
+                unique_translations: f.xlate.unique_translations,
+                shared_hits_total: f.shared_hits_total,
             });
         }
     }
@@ -1260,7 +1396,7 @@ pub fn fanin_sweep() -> Vec<FaninRow> {
 /// One row of the event-driven fan-in scaling curve: N clients against
 /// one [`softcache_core::McServer::serve_event`] poll loop. All fields
 /// except the wall-clock pair are deterministic.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaninScaleRow {
     /// Concurrent clients served from the single poll loop.
     pub clients: u32,
@@ -1289,227 +1425,110 @@ pub struct FaninScaleRow {
     pub throughput_rps: f64,
 }
 
-/// Client counts for the scaling sweep: 1 → 1024, capped by the
-/// `FANIN_CLIENTS` environment variable (CI runs a reduced scale).
-pub fn fanin_scale_counts() -> Vec<u32> {
-    let cap = std::env::var("FANIN_CLIENTS")
-        .ok()
-        .and_then(|s| s.parse::<u32>().ok())
-        .unwrap_or(1024)
-        .max(1);
-    [1u32, 16, 64, 256, 1024]
+/// Client counts for the scaling sweep: 1 → 1024, capped by `cap`, the
+/// value of the `FANIN_CLIENTS` environment variable (CI runs a reduced
+/// scale). A cap that is not a decimal count is an error naming it.
+pub fn fanin_scale_counts(cap: Option<&str>) -> Result<Vec<u32>, String> {
+    let cap = match cap {
+        None => 1024,
+        Some(s) => s
+            .parse::<u32>()
+            .map_err(|_| format!("FANIN_CLIENTS={s:?} is not a client count"))?,
+    };
+    Ok([1u32, 16, 64, 256, 1024]
         .into_iter()
-        .filter(|&n| n <= cap)
-        .collect()
+        .filter(|&n| n <= cap.max(1))
+        .collect())
 }
 
-/// The scaling sweep: for each count, drive N adpcmenc clients (worker
-/// pool, batched fetches at depth 2) against one event-driven MC and
-/// measure the wall-clock scaling curve. Each fleet runs three times and
-/// the row keeps the best wall clock (minimum-of-N filters scheduler
-/// noise; every non-timing counter must agree across repeats). Asserts,
-/// at every fleet size:
-/// byte-identical outputs, per-client simulated ledgers identical to each
-/// other *and* to the 1-client fleet, and the translate-once ledger
-/// (`unique_translations == unique_chunks`, invariant in N).
+/// The scaling sweep: for each count, drive N adpcmenc clients (batched
+/// fetches at depth 2) through [`run_fleet`] and measure the wall-clock
+/// scaling curve. Each fleet runs three times and the row keeps the best
+/// wall clock (minimum-of-N filters scheduler noise); every non-timing
+/// counter must agree across repeats, and the per-client simulated ledger
+/// must be identical at every fleet size.
 ///
 /// Returns the rows plus a per-client telemetry sample (the first clients
 /// of the largest fleet).
-pub fn fanin_scale(counts: &[u32]) -> (Vec<FaninScaleRow>, Vec<softcache_core::ServeReport>) {
-    use softcache_core::endpoint::McEndpoint;
-    use softcache_core::McServer;
-    use softcache_net::{policy_pair, LinkPolicy, LinkStats, Transport};
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-    use std::time::{Duration, Instant};
-
-    let w = by_name("adpcmenc").expect("workload");
-    let image = w.image(true);
-    let input = (w.gen_input)(2);
-    let depth = 2u32;
-
-    let mut solo = SoftIcacheSystem::new(image.clone(), IcacheConfig::default());
-    let want = solo.run(&input).expect("solo reference run");
-
-    // Effectively-infinite receive timeout: the determinism assertions
-    // require that no client EVER times out and retransmits (that would
-    // change its simulated ledger), and on a shared host the OS can
-    // deschedule the server for tens of seconds — no finite timeout is
-    // provably safe. Liveness is guarded elsewhere: the event loop's
-    // idle sweep rescues lost wakeups within ~100 ms, so a hung sweep
-    // here would indicate a real serving bug, and the CI job timeout
-    // catches it.
-    let policy = LinkPolicy {
-        recv_timeout: Duration::from_secs(300),
-        ..LinkPolicy::default()
-    };
-
-    let mut rows = Vec::new();
-    let mut sample: Vec<softcache_core::ServeReport> = Vec::new();
-    let mut reference_link: Option<LinkStats> = None;
+pub fn fanin_scale(counts: &[u32]) -> (Vec<FaninScaleRow>, Vec<ServeReport>) {
+    let (image, input, want) = fanin_setup();
     let largest = counts.iter().copied().max().unwrap_or(0);
-    // Wall clock on a loaded machine is noisy — a descheduled worker can
-    // stretch one fleet 3-4x. Each fleet runs a few times; the minimum
-    // wall time is the noise-free estimate, and every counter must be
-    // identical across repeats (an in-process determinism check).
-    let repeats = 3usize;
-    let run_fleet = |n: u32| -> (FaninScaleRow, Vec<softcache_core::ServeReport>, LinkStats) {
-        let server = McServer::new(image.clone());
-        let mut server_ends: Vec<Box<dyn Transport>> = Vec::with_capacity(n as usize);
-        let mut client_ends = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            let (cc_t, mc_t) = policy_pair(&policy);
-            server_ends.push(Box::new(mc_t));
-            client_ends.push(cc_t);
-        }
-        let transports: Vec<_> = client_ends
-            .into_iter()
-            .map(|t| Mutex::new(Some(t)))
-            .collect();
-        let outputs: Vec<Mutex<Option<softcache_core::RunOutput>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        // A few concurrent drivers keep several clients in flight at the
-        // multiplexer at once without spawning n OS threads.
-        let workers = (n as usize).min(8);
-        let start = Instant::now();
-        let reports = std::thread::scope(|scope| {
-            let server_thread = scope.spawn(|| server.serve_event(server_ends));
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n as usize {
-                        break;
-                    }
-                    let t = transports[i]
-                        .lock()
-                        .unwrap()
-                        .take()
-                        .expect("each client driven once");
-                    let cfg = IcacheConfig {
-                        link: LinkModel::default(),
-                        prefetch_depth: depth,
-                        ..IcacheConfig::default()
-                    };
-                    let mut sys = SoftIcacheSystem::with_endpoint(
-                        image.clone(),
-                        cfg,
-                        McEndpoint::remote_with_policy(Box::new(t), policy),
-                    );
-                    let out = sys.run(&input).expect("fan-in client run");
-                    *outputs[i].lock().unwrap() = Some(out);
-                });
-            }
-            server_thread.join().expect("server thread")
-        });
-        let wall = start.elapsed().as_secs_f64();
-        let outs: Vec<_> = outputs
-            .into_iter()
-            .map(|m| m.into_inner().unwrap().expect("client ran"))
-            .collect();
-        let link0 = outs[0].cache.link;
-        for (i, out) in outs.iter().enumerate() {
-            assert_eq!(out.output, want.output, "client {i} output diverged");
-            assert_eq!(out.exit_code, want.exit_code, "client {i} exit code");
-            assert_eq!(out.exec.cycles, outs[0].exec.cycles, "client {i} cycles");
-            assert_eq!(out.cache.link, link0, "client {i} simulated ledger");
-        }
-        let xs = server.xlate_stats();
-        assert!(xs.balanced(), "xlate ledger unbalanced");
-        assert_eq!(xs.variant_translations, 0, "identical clients, one variant");
-        assert_eq!(xs.evictions, 0, "ample budget: nothing evicted");
-        assert_eq!(
-            xs.unique_translations, xs.unique_chunks,
-            "translate-once must hold at n={n}"
-        );
-        let served0 = reports[0].served;
-        let batches0 = reports[0].batches;
-        let lookups0 = reports[0].shared_hits + reports[0].shared_misses;
-        let mut hits_total = 0u64;
-        let mut misses_total = 0u64;
-        let mut rejections = 0u64;
-        let mut hwm = 0u64;
-        for (i, r) in reports.iter().enumerate() {
-            assert!(r.disconnected, "client {i} hung up cleanly");
-            assert_eq!(r.lost_wakeups, 0, "client {i} needed a wakeup rescue");
-            assert_eq!(r.served, served0, "client {i} request count");
-            assert_eq!(r.batches, batches0, "client {i} batch count");
-            assert_eq!(
-                r.shared_hits + r.shared_misses,
-                lookups0,
-                "client {i} lookups"
-            );
-            hits_total += r.shared_hits;
-            misses_total += r.shared_misses;
-            rejections += r.admission_rejections;
-            hwm = hwm.max(r.queue_hwm);
-        }
-        assert_eq!(misses_total, xs.unique_translations, "translate-once");
-        assert_eq!(hits_total, n as u64 * lookups0 - xs.unique_translations);
-        let row = FaninScaleRow {
-            clients: n,
-            requests_per_client: served0,
-            batches_per_client: batches0,
-            lookups_per_client: lookups0,
-            shared_hits_total: hits_total,
-            unique_translations: xs.unique_translations,
-            unique_chunks: xs.unique_chunks,
-            admission_rejections: rejections,
-            queue_hwm: hwm,
-            wall_seconds: wall,
-            throughput_rps: (n as u64 * served0) as f64 / wall.max(1e-9),
-        };
-        (row, reports, link0)
-    };
+    let mut reference_link = None;
+    let mut rows = Vec::new();
+    let mut sample = Vec::new();
     for &n in counts {
-        let mut best: Option<(FaninScaleRow, Vec<softcache_core::ServeReport>)> = None;
-        for rep in 0..repeats {
-            let (row, reports, link0) = run_fleet(n);
-            let reference = *reference_link.get_or_insert(link0);
+        let mut best: Option<(FaninScaleRow, Vec<ServeReport>)> = None;
+        for rep in 0..3 {
+            let f = run_fleet(&image, &input, &want, n, 2);
+            let link = f.out.cache.link;
             assert_eq!(
-                link0, reference,
+                link,
+                *reference_link.get_or_insert(link),
                 "per-client ledger depends on fleet size or repeat"
             );
-            match &mut best {
-                None => best = Some((row, reports)),
-                Some((b, br)) => {
-                    assert_eq!(
-                        (
-                            row.requests_per_client,
-                            row.batches_per_client,
-                            row.lookups_per_client,
-                            row.shared_hits_total,
-                            row.unique_translations,
-                            row.unique_chunks,
-                            row.admission_rejections,
-                            row.queue_hwm,
-                        ),
-                        (
-                            b.requests_per_client,
-                            b.batches_per_client,
-                            b.lookups_per_client,
-                            b.shared_hits_total,
-                            b.unique_translations,
-                            b.unique_chunks,
-                            b.admission_rejections,
-                            b.queue_hwm,
-                        ),
-                        "fleet n={n} repeat {rep} changed a deterministic counter"
-                    );
-                    if row.wall_seconds < b.wall_seconds {
-                        *b = row;
-                        *br = reports;
-                    }
+            let r0 = f.reports[0];
+            let row = FaninScaleRow {
+                clients: n,
+                requests_per_client: r0.served,
+                batches_per_client: r0.batches,
+                lookups_per_client: f.lookups_per_client,
+                shared_hits_total: f.shared_hits_total,
+                unique_translations: f.xlate.unique_translations,
+                unique_chunks: f.xlate.unique_chunks,
+                admission_rejections: f.reports.iter().map(|r| r.admission_rejections).sum(),
+                queue_hwm: f.reports.iter().map(|r| r.queue_hwm).max().unwrap_or(0),
+                wall_seconds: f.wall_seconds,
+                throughput_rps: (n as u64 * r0.served) as f64 / f.wall_seconds.max(1e-9),
+            };
+            if let Some((b, _)) = &best {
+                let counters = |r: &FaninScaleRow| FaninScaleRow {
+                    wall_seconds: 0.0,
+                    throughput_rps: 0.0,
+                    ..r.clone()
+                };
+                assert_eq!(
+                    counters(&row),
+                    counters(b),
+                    "fleet n={n} repeat {rep} changed a deterministic counter"
+                );
+                if row.wall_seconds >= b.wall_seconds {
+                    continue;
                 }
             }
+            best = Some((row, f.reports));
         }
         let (row, reports) = best.expect("at least one repeat");
         if n == largest {
-            sample = reports.iter().take(4).copied().collect();
+            sample = reports.into_iter().take(4).collect();
         }
         rows.push(row);
     }
     (rows, sample)
+}
+
+/// The fan-in scale gate, asserted by the `fanin` mode: the rewrite count
+/// is the same at every fleet size, and the poll loop does not collapse
+/// under load — when both sizes ran, the 256-client fleet serves at least
+/// half the request rate of the 16-client fleet.
+pub fn fanin_scale_gate(rows: &[FaninScaleRow]) {
+    for r in rows {
+        assert_eq!(
+            r.unique_translations, rows[0].unique_translations,
+            "unique translations vary with fleet size ({} clients)",
+            r.clients
+        );
+    }
+    let rps = |n: u32| {
+        rows.iter()
+            .find(|r| r.clients == n)
+            .map(|r| r.throughput_rps)
+    };
+    if let (Some(t16), Some(t256)) = (rps(16), rps(256)) {
+        assert!(
+            t256 >= 0.5 * t16,
+            "saturation: {t256:.0} req/s at 256 clients < 0.5 x {t16:.0} req/s at 16"
+        );
+    }
 }
 
 // --------------------------------------------------- Figure 10 / §3 dcache
@@ -1548,7 +1567,7 @@ pub fn dcache_policies() -> Vec<DcacheRow> {
         ("stride", Prediction::Stride),
         ("second-chance", Prediction::SecondChance),
     ];
-    let results = par_map(&policies, |&(name, pred)| {
+    par_rows(&policies, "policy", |&(name, pred)| {
         let dcfg = DcacheConfig {
             prediction: pred,
             ..DcacheConfig::default()
@@ -1571,11 +1590,7 @@ pub fn dcache_policies() -> Vec<DcacheRow> {
             accesses: out.dcache.accesses,
         };
         (row, out.output)
-    });
-    for (_, output) in &results[1..] {
-        assert_eq!(&results[0].1, output, "policy changed semantics");
-    }
-    results.into_iter().map(|(row, _)| row).collect()
+    })
 }
 
 // --------------------------------------------------------------- guarantees
@@ -1712,7 +1727,7 @@ pub fn ablation_superblock(scale: u32) -> Vec<SuperblockRow> {
     let w = by_name("compress95").expect("workload");
     let image = w.image(true);
     let input = (w.gen_input)(scale);
-    let results = par_map(&[1u32, 2, 4, 8, 16], |&max_blocks| {
+    par_rows(&[1u32, 2, 4, 8, 16], "strategy", |&max_blocks| {
         let strategy = if max_blocks == 1 {
             ChunkStrategy::BasicBlock
         } else {
@@ -1733,11 +1748,7 @@ pub fn ablation_superblock(scale: u32) -> Vec<SuperblockRow> {
             cycles: out.exec.cycles,
         };
         (row, out.output)
-    });
-    for (_, output) in &results[1..] {
-        assert_eq!(&results[0].1, output, "strategy changed semantics");
-    }
-    results.into_iter().map(|(row, _)| row).collect()
+    })
 }
 
 /// §4 power experiment: banked-SRAM energy with working-set-driven gating
@@ -1869,7 +1880,7 @@ pub fn ablation_write_policy() -> Vec<WritePolicyRow> {
         ("write-back", WritePolicy::WriteBack),
         ("write-through", WritePolicy::WriteThrough),
     ];
-    let results = par_map(&policies, |&(name, policy)| {
+    par_rows(&policies, "policy", |&(name, policy)| {
         let dcfg = DcacheConfig {
             write_policy: policy,
             ..DcacheConfig::default()
@@ -1888,11 +1899,7 @@ pub fn ablation_write_policy() -> Vec<WritePolicyRow> {
             cycles: out.exec.cycles,
         };
         (row, out.output)
-    });
-    for (_, output) in &results[1..] {
-        assert_eq!(&results[0].1, output, "policy changed semantics");
-    }
-    results.into_iter().map(|(row, _)| row).collect()
+    })
 }
 
 // ------------------------------------------------- interpreter throughput
@@ -1964,29 +1971,41 @@ pub struct InterpBench {
 /// inline caches + RAS ([`Machine::run_native`] default), and the
 /// softcache steady state (ample tcache, free link) across chaining /
 /// indirect-IC / RAS configurations. Asserts cycles, instruction counts,
-/// and output are bit-identical across every configuration before
-/// reporting.
+/// and output are bit-identical across every configuration, and every
+/// repetition's counters identical to the first, before reporting.
 pub fn bench_interp(scale: u32) -> InterpBench {
     use std::time::Instant;
     let w = by_name("compress95").expect("workload");
     let image = w.image(true);
     let input = (w.gen_input)(scale);
 
-    // Best-of-5 wall time per configuration: the runs are deterministic,
-    // so the minimum is the least scheduler-disturbed sample.
-    fn best_of<R>(mut f: impl FnMut() -> R) -> (R, f64) {
+    // Best-of-5 wall time per configuration: the runs are deterministic
+    // (every rep's `counters` must equal the first rep's), so the minimum
+    // is the least scheduler-disturbed sample.
+    fn best_of<R, K: PartialEq + std::fmt::Debug>(
+        counters: impl Fn(&R) -> K,
+        mut f: impl FnMut() -> R,
+    ) -> (R, f64) {
         let mut best = f64::INFINITY;
+        let mut first: Option<K> = None;
         let mut out = None;
-        for _ in 0..5 {
+        for rep in 0..5 {
             let t = Instant::now();
             let r = f();
             best = best.min(t.elapsed().as_secs_f64());
+            let k = counters(&r);
+            match &first {
+                Some(k0) => assert_eq!(&k, k0, "rep {rep} changed a counter"),
+                None => first = Some(k),
+            }
             out = Some(r);
         }
         (out.expect("at least one rep"), best)
     }
+    let native = |m: &Machine| (m.stats, m.trace);
+    let soft = |o: &RunOutput| (o.exec, o.trace, o.cache);
 
-    let (slow, slow_s) = best_of(|| {
+    let (slow, slow_s) = best_of(native, || {
         let mut m = Machine::load_native(&image, &input);
         loop {
             match m.step_slow().expect("slow-path step") {
@@ -1997,14 +2016,14 @@ pub fn bench_interp(scale: u32) -> InterpBench {
         }
     });
 
-    let (fast, fast_s) = best_of(|| {
+    let (fast, fast_s) = best_of(native, || {
         let mut m = Machine::load_native(&image, &input);
         m.set_superblocks_enabled(false);
         m.run_native(2_000_000_000).expect("fast-path run");
         m
     });
 
-    let (nolink, nolink_s) = best_of(|| {
+    let (nolink, nolink_s) = best_of(native, || {
         let mut m = Machine::load_native(&image, &input);
         m.set_chaining_enabled(false);
         m.set_threaded_enabled(false);
@@ -2013,7 +2032,7 @@ pub fn bench_interp(scale: u32) -> InterpBench {
         m
     });
 
-    let (sblk, sblk_s) = best_of(|| {
+    let (sblk, sblk_s) = best_of(native, || {
         let mut m = Machine::load_native(&image, &input);
         // Static links only: isolate chaining from the indirect predictors
         // so the row keeps its historical meaning.
@@ -2024,7 +2043,7 @@ pub fn bench_interp(scale: u32) -> InterpBench {
         m
     });
 
-    let (icful, icful_s) = best_of(|| {
+    let (icful, icful_s) = best_of(native, || {
         let mut m = Machine::load_native(&image, &input);
         // Match dispatch with every predictor on: the row the threaded
         // tier is measured against.
@@ -2034,7 +2053,7 @@ pub fn bench_interp(scale: u32) -> InterpBench {
         m
     });
 
-    let (thr, thr_s) = best_of(|| {
+    let (thr, thr_s) = best_of(native, || {
         let mut m = Machine::load_native(&image, &input);
         // Defaults: hotness-promoted threaded tier over the same chained
         // + IC + RAS walk.
@@ -2066,7 +2085,7 @@ pub fn bench_interp(scale: u32) -> InterpBench {
         threaded: false,
         ..IcacheConfig::default()
     };
-    let (out_nolink, soft_nolink_s) = best_of(|| {
+    let (out_nolink, soft_nolink_s) = best_of(soft, || {
         let mut sys = SoftIcacheSystem::new(
             image.clone(),
             IcacheConfig {
@@ -2076,7 +2095,7 @@ pub fn bench_interp(scale: u32) -> InterpBench {
         );
         sys.run(&input).expect("softcache run (chaining off)")
     });
-    let (out_noic, soft_noic_s) = best_of(|| {
+    let (out_noic, soft_noic_s) = best_of(soft, || {
         let mut sys = SoftIcacheSystem::new(
             image.clone(),
             IcacheConfig {
@@ -2087,7 +2106,7 @@ pub fn bench_interp(scale: u32) -> InterpBench {
         );
         sys.run(&input).expect("softcache run (indirect IC off)")
     });
-    let (out_noras, soft_noras_s) = best_of(|| {
+    let (out_noras, soft_noras_s) = best_of(soft, || {
         let mut sys = SoftIcacheSystem::new(
             image.clone(),
             IcacheConfig {
@@ -2097,11 +2116,11 @@ pub fn bench_interp(scale: u32) -> InterpBench {
         );
         sys.run(&input).expect("softcache run (RAS off)")
     });
-    let (out, soft_s) = best_of(|| {
+    let (out, soft_s) = best_of(soft, || {
         let mut sys = SoftIcacheSystem::new(image.clone(), cfg);
         sys.run(&input).expect("softcache run")
     });
-    let (out_thr, soft_thr_s) = best_of(|| {
+    let (out_thr, soft_thr_s) = best_of(soft, || {
         let mut sys = SoftIcacheSystem::new(
             image.clone(),
             IcacheConfig {
@@ -2162,74 +2181,68 @@ pub fn bench_interp(scale: u32) -> InterpBench {
         "tier tallies lost instructions"
     );
 
-    let mips = |n: u64, s: f64| n as f64 / s.max(1e-9) / 1e6;
+    let row = |config, instructions: u64, wall_seconds: f64| InterpRow {
+        config,
+        instructions,
+        wall_seconds,
+        mips: instructions as f64 / wall_seconds.max(1e-9) / 1e6,
+    };
     let rows = vec![
-        InterpRow {
-            config: "native slow path (per-step decode)",
-            instructions: slow.stats.instructions,
-            wall_seconds: slow_s,
-            mips: mips(slow.stats.instructions, slow_s),
-        },
-        InterpRow {
-            config: "native fast path (predecoded)",
-            instructions: fast.stats.instructions,
-            wall_seconds: fast_s,
-            mips: mips(fast.stats.instructions, fast_s),
-        },
-        InterpRow {
-            config: "native superblock engine (unchained)",
-            instructions: nolink.stats.instructions,
-            wall_seconds: nolink_s,
-            mips: mips(nolink.stats.instructions, nolink_s),
-        },
-        InterpRow {
-            config: "native superblock engine (chained traces)",
-            instructions: sblk.stats.instructions,
-            wall_seconds: sblk_s,
-            mips: mips(sblk.stats.instructions, sblk_s),
-        },
-        InterpRow {
-            config: "native superblock engine (chained + indirect ICs + RAS)",
-            instructions: icful.stats.instructions,
-            wall_seconds: icful_s,
-            mips: mips(icful.stats.instructions, icful_s),
-        },
-        InterpRow {
-            config: "native threaded dispatch tier (hot superblocks)",
-            instructions: thr.stats.instructions,
-            wall_seconds: thr_s,
-            mips: mips(thr.stats.instructions, thr_s),
-        },
-        InterpRow {
-            config: "softcache steady state (chaining off)",
-            instructions: out_nolink.exec.instructions,
-            wall_seconds: soft_nolink_s,
-            mips: mips(out_nolink.exec.instructions, soft_nolink_s),
-        },
-        InterpRow {
-            config: "softcache steady state (chained, indirect IC off)",
-            instructions: out_noic.exec.instructions,
-            wall_seconds: soft_noic_s,
-            mips: mips(out_noic.exec.instructions, soft_noic_s),
-        },
-        InterpRow {
-            config: "softcache steady state (IC on, RAS off)",
-            instructions: out_noras.exec.instructions,
-            wall_seconds: soft_noras_s,
-            mips: mips(out_noras.exec.instructions, soft_noras_s),
-        },
-        InterpRow {
-            config: "softcache steady state (ample tcache)",
-            instructions: out.exec.instructions,
-            wall_seconds: soft_s,
-            mips: mips(out.exec.instructions, soft_s),
-        },
-        InterpRow {
-            config: "softcache steady state (threaded dispatch tier)",
-            instructions: out_thr.exec.instructions,
-            wall_seconds: soft_thr_s,
-            mips: mips(out_thr.exec.instructions, soft_thr_s),
-        },
+        row(
+            "native slow path (per-step decode)",
+            slow.stats.instructions,
+            slow_s,
+        ),
+        row(
+            "native fast path (predecoded)",
+            fast.stats.instructions,
+            fast_s,
+        ),
+        row(
+            "native superblock engine (unchained)",
+            nolink.stats.instructions,
+            nolink_s,
+        ),
+        row(
+            "native superblock engine (chained traces)",
+            sblk.stats.instructions,
+            sblk_s,
+        ),
+        row(
+            "native superblock engine (chained + indirect ICs + RAS)",
+            icful.stats.instructions,
+            icful_s,
+        ),
+        row(
+            "native threaded dispatch tier (hot superblocks)",
+            thr.stats.instructions,
+            thr_s,
+        ),
+        row(
+            "softcache steady state (chaining off)",
+            out_nolink.exec.instructions,
+            soft_nolink_s,
+        ),
+        row(
+            "softcache steady state (chained, indirect IC off)",
+            out_noic.exec.instructions,
+            soft_noic_s,
+        ),
+        row(
+            "softcache steady state (IC on, RAS off)",
+            out_noras.exec.instructions,
+            soft_noras_s,
+        ),
+        row(
+            "softcache steady state (ample tcache)",
+            out.exec.instructions,
+            soft_s,
+        ),
+        row(
+            "softcache steady state (threaded dispatch tier)",
+            out_thr.exec.instructions,
+            soft_thr_s,
+        ),
     ];
     let fast_over_slow = rows[1].mips / rows[0].mips;
     let superblock_over_fast = rows[2].mips / rows[1].mips;
@@ -2242,6 +2255,25 @@ pub fn bench_interp(scale: u32) -> InterpBench {
     } else {
         1.0 - out.trace.breaks.ret as f64 / out_noic.trace.breaks.ret as f64
     };
+    // The predictor and tier profiles are counters, so they are gated
+    // exactly: the RAS keeps eliminating nearly every ret chain break,
+    // and once the working set is hot nearly all block retirement runs
+    // in the threaded tier.
+    assert!(
+        ret_break_reduction >= 0.8,
+        "RAS no longer eliminates >= 80% of ret chain breaks: {ret_break_reduction:.4}"
+    );
+    let t = &out_thr.trace;
+    let population = t.tier_threaded_insts as f64
+        / (t.tier_threaded_insts + t.tier_super_insts + t.tier_interp_insts) as f64;
+    assert!(
+        population >= 0.95,
+        "threaded tier covers only {population:.4} of retirement: {t:?}"
+    );
+    assert!(
+        t.promotions >= t.demotions,
+        "more demotions than promotions: {t:?}"
+    );
     InterpBench {
         workload: w.name,
         rows,
@@ -2347,31 +2379,95 @@ mod tests {
             thrash_fa.relative_time,
             bars[3].relative_time
         );
-        assert!(cliff_fa.flushes > 0);
         assert!(thrash_fa.flushes > 0);
         // TRRIP flattens the cliff: victim eviction instead of flushes,
         // at least 2x fewer retranslations at the cliff point, and a
         // strict improvement even at the paper's off-scale thrash size.
-        assert!(cliff_tr.evictions > 0, "{:?}", cliff_tr);
-        assert!(
-            cliff_tr.translations * 2 <= cliff_fa.translations,
-            "TRRIP must cut cliff retranslations >= 2x: {} vs {}",
-            cliff_tr.translations,
-            cliff_fa.translations
-        );
-        assert!(
-            cliff_tr.relative_time < cliff_fa.relative_time,
-            "TRRIP cliff {:.2} must beat flush-all {:.2}",
-            cliff_tr.relative_time,
-            cliff_fa.relative_time
-        );
-        assert!(
-            thrash_tr.translations < thrash_fa.translations,
-            "TRRIP thrash {} must improve on flush-all {}",
-            thrash_tr.translations,
-            thrash_fa.translations
-        );
-        assert!(thrash_tr.relative_time < thrash_fa.relative_time);
+        evict_gate(&bars);
+    }
+
+    /// A bar set that passes [`evict_gate`], shaped like the committed
+    /// `BENCH_evict.json`.
+    fn gate_bars() -> Vec<Fig5Bar> {
+        let bar = |label: &str, policy, tcache_bytes, relative_time, translations, flushes| {
+            let evictions = if policy == "trrip" {
+                translations / 2
+            } else {
+                0
+            };
+            Fig5Bar {
+                label: label.into(),
+                policy,
+                tcache_bytes,
+                relative_time,
+                translations,
+                flushes,
+                evictions,
+                flush_losses: 0,
+                residents: 0,
+                victims_per_fill: if evictions > 0 { 1.0 } else { 0.0 },
+            }
+        };
+        vec![
+            bar("cliff (measured)", "flush-all", 990, 1.27, 15_000, 500),
+            bar("cliff (measured)", "trrip", 990, 1.12, 7_000, 0),
+            bar("thrash (ws/8)", "flush-all", 512, 3.29, 90_000, 9_000),
+            bar("thrash (ws/8)", "trrip", 512, 2.44, 60_000, 0),
+        ]
+    }
+
+    #[test]
+    #[should_panic(expected = "TRRIP must halve cliff retranslations")]
+    fn evict_gate_fires_when_trrip_is_not_twice_better_at_the_cliff() {
+        let mut bars = gate_bars();
+        evict_gate(&bars);
+        bars[1].translations = bars[0].translations / 2 + 1;
+        evict_gate(&bars);
+    }
+
+    fn scale_row(clients: u32, throughput_rps: f64) -> FaninScaleRow {
+        FaninScaleRow {
+            clients,
+            unique_translations: 151,
+            throughput_rps,
+            ..FaninScaleRow::default()
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "saturation")]
+    fn fanin_scale_gate_fires_on_a_collapsed_poll_loop() {
+        fanin_scale_gate(&[
+            scale_row(1, 7_000.0),
+            scale_row(16, 8_000.0),
+            scale_row(256, 4_000.0),
+        ]);
+        fanin_scale_gate(&[scale_row(16, 8_000.0), scale_row(256, 3_999.0)]);
+    }
+
+    #[test]
+    fn fanin_scale_counts_refuses_a_malformed_cap() {
+        assert_eq!(fanin_scale_counts(None).unwrap(), [1, 16, 64, 256, 1024]);
+        assert_eq!(fanin_scale_counts(Some("256")).unwrap(), [1, 16, 64, 256]);
+        assert_eq!(fanin_scale_counts(Some("0")).unwrap(), [1]);
+        for bad in ["256 ", "2k", ""] {
+            let err = fanin_scale_counts(Some(bad)).unwrap_err();
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "more violations than seals checked")]
+    fn chaos_row_fires_when_violations_exceed_seals_checked() {
+        let s = softcache_core::IntegrityStats {
+            seals_checked: 2,
+            violations: 3,
+            retranslations: 3,
+            code_flips: 3,
+            ..Default::default()
+        };
+        assert!(s.balanced(), "only the seal bound may fail");
+        chaos_row("doctored", "bb icache", s, 110, 100);
     }
 
     #[test]

@@ -122,6 +122,32 @@ pub fn sparkline(buckets: &[u64]) -> String {
         .collect()
 }
 
+/// A JSON string literal (the labels written here need no escaping).
+pub fn json_str(s: &str) -> String {
+    format!("\"{s}\"")
+}
+
+/// One JSON object on one line, `{"key": value, ...}`, from values
+/// already rendered as JSON (quote strings with [`json_str`]).
+pub fn json_object(fields: &[(&str, String)]) -> String {
+    let fields: Vec<String> = fields
+        .iter()
+        .map(|(k, v)| format!("\"{k}\": {v}"))
+        .collect();
+    format!("{{{}}}", fields.join(", "))
+}
+
+/// A `BENCH_*.json` document: the `head` fields, then a `rows` array
+/// with one object per line, then the `tail` fields, one per line.
+pub fn bench_json(head: &[(&str, String)], rows: &[String], tail: &[(&str, String)]) -> String {
+    let field = |(k, v): &(&str, String)| format!("  \"{k}\": {v}");
+    let rows: Vec<String> = rows.iter().map(|r| format!("    {r}")).collect();
+    let mut lines: Vec<String> = head.iter().map(field).collect();
+    lines.push(format!("  \"rows\": [\n{}\n  ]", rows.join(",\n")));
+    lines.extend(tail.iter().map(field));
+    format!("{{\n{}\n}}\n", lines.join(",\n"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,6 +188,21 @@ mod tests {
         assert_eq!(s.len(), 3);
         assert!(s.starts_with(' '));
         assert!(s.ends_with('#'));
+    }
+
+    #[test]
+    fn bench_json_layout() {
+        let row = |n: u32| json_object(&[("n", n.to_string()), ("s", json_str("x"))]);
+        let doc = bench_json(
+            &[("w", json_str("c"))],
+            &[row(1), row(2)],
+            &[("r", "0.5".into())],
+        );
+        assert_eq!(
+            doc,
+            "{\n  \"w\": \"c\",\n  \"rows\": [\n    {\"n\": 1, \"s\": \"x\"},\n    \
+             {\"n\": 2, \"s\": \"x\"}\n  ],\n  \"r\": 0.5\n}\n"
+        );
     }
 
     #[test]

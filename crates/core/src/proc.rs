@@ -685,6 +685,16 @@ impl ProcCc {
             }
         };
         let bytes = chunk.words.len() as u32 * 4;
+        // A payload whose slots overrun its words would steer a `jal`
+        // outside the procedure's region, and one that does not hold
+        // `orig` has no tcache address for it: refuse both before any
+        // redirector is carved or any word is written.
+        let covers = orig
+            .checked_sub(chunk.orig_start)
+            .is_some_and(|off| off < bytes);
+        if !chunk.well_formed() || !covers {
+            return Err(CacheError::Proto);
+        }
         // Phase 1: make sure every call site has a (pinned) redirector
         // BEFORE the chunk is placed — redirector carving may need to
         // evict procedures, and doing it now means it can never evict the
@@ -1260,6 +1270,83 @@ int main() { return f(getc()); }
             .run(b"\x02")
             .unwrap_err();
         assert!(matches!(err, CacheError::Mc(c) if c == errcode::UNSUPPORTED_IN_PROC));
+    }
+
+    /// An MC that answers every fetch with the same payload, whatever
+    /// was asked for.
+    struct LyingMc {
+        payload: ChunkPayload,
+        inbox: std::collections::VecDeque<Vec<u8>>,
+    }
+
+    impl softcache_net::Transport for LyingMc {
+        fn send(&mut self, frame: Vec<u8>) -> Result<(), softcache_net::NetError> {
+            use softcache_net::envelope::{open, seal};
+            let env = open(&frame).expect("sealed request");
+            let reply = match Request::decode(env.payload).expect("request") {
+                Request::Hello => Reply::Welcome { epoch: 1 },
+                _ => Reply::Chunk(self.payload.clone()),
+            };
+            self.inbox.push_back(seal(env.seq, 1, &reply.encode()));
+            Ok(())
+        }
+
+        fn recv(&mut self) -> Result<Vec<u8>, softcache_net::NetError> {
+            self.inbox
+                .pop_front()
+                .ok_or(softcache_net::NetError::Timeout)
+        }
+
+        fn pending(&self) -> usize {
+            self.inbox.len()
+        }
+    }
+
+    #[test]
+    fn lying_proc_payload_is_refused_before_any_write() {
+        let image = compile(CALC);
+        let addr = |name: &str| image.symbol(name).unwrap().addr;
+        let (square, cube) = (addr("square"), addr("cube"));
+        let mut machine = Machine::load_client(&image, &[]);
+        let mut cc = ProcCc::new(ProcConfig::default());
+        let mut honest_ep = McEndpoint::direct(Mc::new(image.clone()));
+        cc.ensure(&mut machine, &mut honest_ep, square).unwrap();
+        let (base, words) = (cc.cfg.base, cc.cfg.memory_bytes / 4);
+        let snapshot = |m: &Machine| -> Vec<u32> {
+            (0..words)
+                .map(|i| m.mem.read_u32(base + i * 4).unwrap())
+                .collect()
+        };
+        let before = snapshot(&machine);
+        let redirectors = cc.redirectors.len();
+
+        let cube_chunk = rewrite_proc(&mut Mc::new(image.clone()), cube, 0).unwrap();
+        assert!(!cube_chunk.exits.is_empty(), "cube calls square");
+        let lies: [fn(&mut ChunkPayload); 4] = [
+            // Phase 3 would write the `jal` past the procedure's region.
+            |c| c.exits[0].stub_slot = c.words.len() as u32 + 16,
+            |c| c.exits[0].patch_slot = c.words.len() as u32,
+            // The reply starts past `orig`: `orig - orig_start` underflows.
+            |c| c.orig_start += 4,
+            // The reply ends before `orig`.
+            |c| c.orig_start -= c.words.len() as u32 * 4,
+        ];
+        for (i, lie) in lies.iter().enumerate() {
+            let mut payload = cube_chunk.clone();
+            lie(&mut payload);
+            let mut ep = McEndpoint::remote(Box::new(LyingMc {
+                payload,
+                inbox: Default::default(),
+            }));
+            let err = cc.ensure(&mut machine, &mut ep, cube).unwrap_err();
+            assert!(matches!(err, CacheError::Proto), "lie {i}: {err}");
+            assert_eq!(snapshot(&machine), before, "lie {i}: tcache written");
+            assert_eq!(cc.redirectors.len(), redirectors, "lie {i}: redirector");
+            assert!(cc.resident_addr(cube).is_none(), "lie {i}: registered");
+        }
+        // The honest payload still installs.
+        cc.ensure(&mut machine, &mut honest_ep, cube).unwrap();
+        assert_eq!(cc.redirectors.len(), redirectors + 1);
     }
 
     #[test]
