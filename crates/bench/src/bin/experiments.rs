@@ -524,14 +524,6 @@ fn link() {
 }
 
 fn fanin(scale: bool) {
-    // Refuse a malformed fleet cap before any fleet runs.
-    let counts = scale.then(|| {
-        let cap = std::env::var_os("FANIN_CLIENTS").map(|v| v.to_string_lossy().into_owned());
-        exp::fanin_scale_counts(cap.as_deref()).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        })
-    });
     header("Fan-in — one event-driven MC, N concurrent clients (adpcmenc)");
     let rows = exp::fanin_sweep();
     let cols = "clients|depth|exchanges/client|stall cyc/client|wire B/client|\
@@ -555,11 +547,11 @@ fn fanin(scale: bool) {
     println!("once ledger holds at every width: `unique xl` is invariant in the");
     println!("client count, and every request beyond the first is a shared-cache hit.");
 
-    let Some(counts) = counts else {
+    if !scale {
         return;
-    };
+    }
     header("Fan-in at scale — one event-driven MC poll loop, 1k+ clients (adpcmenc)");
-    let (rows, sample) = exp::fanin_scale(&counts);
+    let (rows, sample) = exp::fanin_scale(&exp::FANIN_SCALE_COUNTS);
     let cols = "clients|req/client|batches/client|lookups/client|shared hits|unique xl|\
                 adm rej|queue hwm|wall s|req/s";
     print_table(cols, &rows, |r| {

@@ -1425,21 +1425,8 @@ pub struct FaninScaleRow {
     pub throughput_rps: f64,
 }
 
-/// Client counts for the scaling sweep: 1 → 1024, capped by `cap`, the
-/// value of the `FANIN_CLIENTS` environment variable (CI runs a reduced
-/// scale). A cap that is not a decimal count is an error naming it.
-pub fn fanin_scale_counts(cap: Option<&str>) -> Result<Vec<u32>, String> {
-    let cap = match cap {
-        None => 1024,
-        Some(s) => s
-            .parse::<u32>()
-            .map_err(|_| format!("FANIN_CLIENTS={s:?} is not a client count"))?,
-    };
-    Ok([1u32, 16, 64, 256, 1024]
-        .into_iter()
-        .filter(|&n| n <= cap.max(1))
-        .collect())
-}
+/// Client counts for the scaling sweep.
+pub const FANIN_SCALE_COUNTS: [u32; 5] = [1, 16, 64, 256, 1024];
 
 /// The scaling sweep: for each count, drive N adpcmenc clients (batched
 /// fetches at depth 2) through [`run_fleet`] and measure the wall-clock
@@ -2443,17 +2430,6 @@ mod tests {
             scale_row(256, 4_000.0),
         ]);
         fanin_scale_gate(&[scale_row(16, 8_000.0), scale_row(256, 3_999.0)]);
-    }
-
-    #[test]
-    fn fanin_scale_counts_refuses_a_malformed_cap() {
-        assert_eq!(fanin_scale_counts(None).unwrap(), [1, 16, 64, 256, 1024]);
-        assert_eq!(fanin_scale_counts(Some("256")).unwrap(), [1, 16, 64, 256]);
-        assert_eq!(fanin_scale_counts(Some("0")).unwrap(), [1]);
-        for bad in ["256 ", "2k", ""] {
-            let err = fanin_scale_counts(Some(bad)).unwrap_err();
-            assert!(err.contains(&format!("{bad:?}")), "{err}");
-        }
     }
 
     #[test]

@@ -110,8 +110,9 @@ pub struct Mc {
     block_len: HashMap<u32, (u32, bool)>,
     /// The server's authoritative data memory (the lower level of the
     /// hierarchy), covering `DATA_BASE..STACK_TOP` so both the dcache and
-    /// the scache can spill to it.
-    data: Vec<u8>,
+    /// the scache can spill to it. Built from the image on the first data
+    /// request: an icache-only client never allocates it.
+    data: Option<Vec<u8>>,
     /// Chunk-formation strategy.
     strategy: ChunkStrategy,
     /// Session epoch. A fresh MC process picks a new epoch; the CC sees it
@@ -138,17 +139,16 @@ impl Mc {
     }
 
     /// Build an MC serving an already-shared image (one text segment, many
-    /// server threads). Data memory is still private per `Mc`: each client
-    /// of a threaded server gets an isolated data image.
+    /// tenants of one server). Data memory is still private per `Mc`: each
+    /// client gets an isolated data image, built with the image's data
+    /// copied in on that client's first `FetchData` or `WriteData`, so a
+    /// tenant that never asks for data never pays for it.
     pub fn from_shared(image: Arc<Image>) -> Mc {
-        let mut data = vec![0u8; (STACK_TOP - DATA_BASE) as usize];
-        let off = (image.data_base - DATA_BASE) as usize;
-        data[off..off + image.data.len()].copy_from_slice(&image.data);
         Mc {
             image,
             mirror: HashMap::new(),
             block_len: HashMap::new(),
-            data,
+            data: None,
             strategy: ChunkStrategy::BasicBlock,
             epoch: 1,
             stats: McStats::default(),
@@ -184,6 +184,17 @@ impl Mc {
             assert!(max_blocks >= 1, "superblocks need at least one block");
         }
         self.strategy = strategy;
+    }
+
+    /// The data memory in `data`, built from `image` on first use (a
+    /// function of the two fields so the stats stay borrowable).
+    fn data_memory<'a>(data: &'a mut Option<Vec<u8>>, image: &Image) -> &'a mut [u8] {
+        data.get_or_insert_with(|| {
+            let mut data = vec![0u8; (STACK_TOP - DATA_BASE) as usize];
+            let off = (image.data_base - DATA_BASE) as usize;
+            data[off..off + image.data.len()].copy_from_slice(&image.data);
+            data
+        })
     }
 
     /// The image being served.
@@ -252,7 +263,8 @@ impl Mc {
             }
             Request::FetchData { addr, len } => {
                 let lo = addr.wrapping_sub(DATA_BASE) as usize;
-                match self.data.get(lo..lo.saturating_add(len as usize)) {
+                let data = Mc::data_memory(&mut self.data, &self.image);
+                match data.get(lo..lo.saturating_add(len as usize)) {
                     Some(slice) if addr >= DATA_BASE => {
                         self.stats.data_fills += 1;
                         Reply::Data(slice.to_vec())
@@ -262,7 +274,8 @@ impl Mc {
             }
             Request::WriteData { addr, bytes } => {
                 let lo = addr.wrapping_sub(DATA_BASE) as usize;
-                match self.data.get_mut(lo..lo.saturating_add(bytes.len())) {
+                let data = Mc::data_memory(&mut self.data, &self.image);
+                match data.get_mut(lo..lo.saturating_add(bytes.len())) {
                     Some(slice) if addr >= DATA_BASE => {
                         slice.copy_from_slice(&bytes);
                         self.stats.data_writebacks += 1;
@@ -905,6 +918,61 @@ far:    halt
             Reply::Err(_)
         ));
         let _ = TCACHE_BASE;
+    }
+
+    /// The data memory spans exactly `DATA_BASE..STACK_TOP`: requests are
+    /// served up to both ends and refused one byte past either, on a fresh
+    /// MC as on one that already served data, and a refused write stores
+    /// nothing — not even its in-range part.
+    #[test]
+    fn data_requests_at_the_range_boundaries() {
+        let src = "_start: halt\n.data\nx: .word 42";
+        let fetch = |mc: &mut Mc, addr: u32, len: u32| mc.handle(Request::FetchData { addr, len });
+        let write = |mc: &mut Mc, addr: u32, len: usize| {
+            mc.handle(Request::WriteData {
+                addr,
+                bytes: vec![0xA5; len],
+            })
+        };
+        let refused = Reply::Err(errcode::BAD_DATA_RANGE);
+        let word = |v: u32| Reply::Data(v.to_le_bytes().to_vec());
+        for warm in [false, true] {
+            let mut mc = mc_for(src);
+            if warm {
+                assert_eq!(fetch(&mut mc, DATA_BASE, 4), word(42));
+            }
+            // Below the data memory, and straddling its start.
+            assert_eq!(fetch(&mut mc, DATA_BASE - 1, 1), refused);
+            assert_eq!(fetch(&mut mc, DATA_BASE - 1, 4), refused);
+            assert_eq!(write(&mut mc, DATA_BASE - 1, 4), refused);
+            assert_eq!(
+                fetch(&mut mc, DATA_BASE, 4),
+                word(42),
+                "write at DATA_BASE-1 leaked"
+            );
+            // The last `len` bytes are in range; the end itself is not.
+            assert_eq!(fetch(&mut mc, STACK_TOP - 4, 4), word(0));
+            assert_eq!(fetch(&mut mc, STACK_TOP, 4), refused);
+            assert_eq!(fetch(&mut mc, STACK_TOP, 0), Reply::Data(Vec::new()));
+            assert_eq!(write(&mut mc, STACK_TOP, 4), refused);
+            // Straddling the end: refused, and the in-range half untouched.
+            assert_eq!(fetch(&mut mc, STACK_TOP - 2, 4), refused);
+            assert_eq!(write(&mut mc, STACK_TOP - 2, 4), refused);
+            assert_eq!(
+                fetch(&mut mc, STACK_TOP - 4, 4),
+                word(0),
+                "refused write leaked"
+            );
+            assert_eq!(fetch(&mut mc, DATA_BASE, u32::MAX), refused);
+            assert_eq!(fetch(&mut mc, u32::MAX, 4), refused);
+            let before = mc.stats;
+            assert_eq!(write(&mut mc, STACK_TOP - 4, 4), Reply::Ack);
+            assert_eq!(fetch(&mut mc, STACK_TOP - 4, 4), word(0xA5A5_A5A5));
+            assert_eq!(write(&mut mc, DATA_BASE, 4), Reply::Ack);
+            assert_eq!(fetch(&mut mc, DATA_BASE, 4), word(0xA5A5_A5A5));
+            assert_eq!(mc.stats.data_writebacks, before.data_writebacks + 2);
+            assert_eq!(mc.stats.data_fills, before.data_fills + 2);
+        }
     }
 
     #[test]

@@ -10,7 +10,10 @@
 //! to need a chunk pays the rewrite, every later client with the same
 //! mirror context gets the cached bytes. Data memory is also per-client,
 //! so one client's stores can never leak into another's run — per-client
-//! outputs are byte-identical to single-client runs.
+//! outputs are byte-identical to single-client runs. A tenant builds its
+//! data image on its first data request, so an icache-only fleet costs no
+//! data memory at all and the first request is served without waiting
+//! for every tenant's image to be built.
 //!
 //! [`McServer::serve_event`] runs one poll loop over every client's
 //! nonblocking [`Transport::try_recv`], multiplexing all per-client

@@ -1,6 +1,40 @@
 //! Flat byte-addressed memory for the simulated embedded device.
+//!
+//! A client costs what it touches. The buffer stays flat, so a guest load
+//! is one bounds check and one indexed read. Every write also marks the
+//! 128 KiB regions it lands in, and a dropped buffer of 1 to 8 MiB has
+//! only its marked regions zeroed before it is parked in a one-slot,
+//! thread-local free list. The next [`Memory::new`] of the same size on
+//! that thread takes it from there instead of allocating and zeroing
+//! another 8 MiB, so a fleet of clients run one after another pays for the
+//! regions each client wrote (a few hundred KiB), not for the whole map.
 
 use softcache_isa::inst::MemWidth;
+use std::cell::Cell;
+
+/// log2 of the bytes one bit of the touched mask covers (128 KiB, so 64
+/// bits cover the whole 8 MiB memory map).
+const TOUCH_SHIFT: u32 = 17;
+
+/// Buffers outside this size range are freed on drop rather than
+/// recycled: smaller ones are cheap to zero, larger ones have more regions
+/// than the mask has bits.
+const RECYCLE_SIZES: std::ops::RangeInclusive<usize> = 1 << 20..=64 << TOUCH_SHIFT;
+
+thread_local! {
+    /// One dropped, fully re-zeroed buffer waiting for the next
+    /// [`Memory::new`] of its size on this thread.
+    static SPARE: Cell<Option<Vec<u8>>> = const { Cell::new(None) };
+}
+
+/// A zeroed buffer of `size` bytes: the thread's spare if it has that
+/// size, a fresh allocation otherwise.
+fn zeroed(size: usize) -> Vec<u8> {
+    match SPARE.try_with(Cell::take).ok().flatten() {
+        Some(buf) if buf.len() == size => buf,
+        _ => vec![0; size],
+    }
+}
 
 /// Memory access fault.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -39,9 +73,17 @@ impl std::error::Error for MemFault {}
 /// narrows it to the text + tcache regions) bumps a generation counter and
 /// widens a dirty span, so a decode cache can invalidate exactly the code
 /// the cache controller backpatched and nothing else.
+///
+/// Every write also sets the bit of each 128 KiB region it touches, so the
+/// buffer can be recycled on drop by zeroing just those regions (see the
+/// module docs).
 #[derive(Clone)]
 pub struct Memory {
     bytes: Vec<u8>,
+    /// Bit `i` set: region `[i << TOUCH_SHIFT, (i + 1) << TOUCH_SHIFT)`
+    /// may hold a nonzero byte. Meaningless (and unused) for buffers
+    /// outside [`RECYCLE_SIZES`].
+    touched: u64,
     /// `[lo, hi)` address ranges whose writes count as code writes.
     watch: [(u32, u32); 2],
     code_gen: u64,
@@ -55,7 +97,8 @@ impl Memory {
     /// [`Memory::set_code_watch`].
     pub fn new(size: u32) -> Memory {
         Memory {
-            bytes: vec![0; size as usize],
+            bytes: zeroed(size as usize),
+            touched: 0,
             watch: [(0, u32::MAX), (0, 0)],
             code_gen: 0,
             dirty_lo: u32::MAX,
@@ -110,6 +153,18 @@ impl Memory {
     #[inline]
     fn note_write(&mut self, addr: u32, len: u32) {
         let end = addr.saturating_add(len);
+        // An aligned word, halfword or byte lies in one region, so the
+        // hot stores pay two bit-sets; only a bulk span longer than a
+        // region can cover regions between its first and last.
+        let first = addr >> TOUCH_SHIFT;
+        let last = end.wrapping_sub(1) >> TOUCH_SHIFT;
+        let mut bits = 1u64.wrapping_shl(first) | 1u64.wrapping_shl(last);
+        if len > 1 << TOUCH_SHIFT {
+            bits |= 2u64
+                .wrapping_shl(last)
+                .wrapping_sub(1u64.wrapping_shl(first));
+        }
+        self.touched |= bits;
         let [(a_lo, a_hi), (b_lo, b_hi)] = self.watch;
         if (addr < a_hi && end > a_lo) || (addr < b_hi && end > b_lo) {
             self.code_gen += 1;
@@ -250,6 +305,26 @@ impl Memory {
     }
 }
 
+impl Drop for Memory {
+    fn drop(&mut self) {
+        if !RECYCLE_SIZES.contains(&self.bytes.len()) {
+            return;
+        }
+        let mut bytes = std::mem::take(&mut self.bytes);
+        let mut mask = self.touched;
+        while mask != 0 {
+            let i = mask.trailing_zeros();
+            mask &= mask - 1;
+            let lo = (i as usize) << TOUCH_SHIFT;
+            let hi = (lo + (1 << TOUCH_SHIFT)).min(bytes.len());
+            bytes[lo..hi].fill(0);
+        }
+        // Parking replaces (frees) any older spare: the list holds one.
+        // During thread teardown the slot is gone and the buffer is freed.
+        let _ = SPARE.try_with(|slot| slot.set(Some(bytes)));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -301,5 +376,63 @@ mod tests {
         m.write_words(8, &[0x11111111, 0x22222222]).unwrap();
         assert_eq!(m.read_u32(12).unwrap(), 0x22222222);
         assert!(m.write_words(2, &[0]).is_err(), "misaligned word write");
+    }
+
+    /// Where a bulk write of `len` bytes starts so that it straddles the
+    /// `k`-th region boundary below `size` (clamped to fit, aligned to
+    /// `align`).
+    fn straddling(size: u32, k: u32, len: u32, align: u32) -> u32 {
+        let boundaries = ((size - 1) >> TOUCH_SHIFT).max(1);
+        let boundary = (1 + k % boundaries) << TOUCH_SHIFT;
+        boundary.saturating_sub(len / 2).min(size - len) & !(align - 1)
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// A dropped memory's buffer comes back from `Memory::new` of the
+        /// same size on the same thread, and reads zero everywhere, whichever
+        /// write method dirtied it and wherever the write landed: bulk spans
+        /// straddle a region boundary, and the long ones cover whole regions.
+        #[test]
+        fn recycled_memory_reads_zero_where_the_last_one_wrote(
+            size in prop_oneof![
+                Just(softcache_isa::layout::MEM_SIZE),
+                Just(*RECYCLE_SIZES.start() as u32 + 12),
+            ],
+            writes in prop::collection::vec(
+                (0u8..7, any::<u32>(), 1u32..64, any::<u32>()),
+                1..48,
+            ),
+        ) {
+            let mut m = Memory::new(size);
+            for (method, at, span, val) in writes {
+                // Nonzero, so a region left dirty shows up below.
+                let val = val | 0x0101_0101;
+                match method {
+                    0 => m.write_u8(at % size, val as u8).unwrap(),
+                    1 => m.write_u16((at % size) & !1, val as u16).unwrap(),
+                    2 => m.write_u32((at % size) & !3, val).unwrap(),
+                    3 | 5 => {
+                        let len = if method == 5 { (2 << TOUCH_SHIFT) + span } else { span };
+                        let a = straddling(size, at, len, 1);
+                        m.write_bytes(a, &vec![val as u8; len as usize]).unwrap()
+                    }
+                    _ => {
+                        let n = if method == 6 { (1 << TOUCH_SHIFT) / 2 + span } else { span };
+                        let a = straddling(size, at, n * 4, 4);
+                        m.write_words(a, &vec![val; n as usize]).unwrap()
+                    }
+                }
+            }
+            let buf = m.bytes.as_ptr();
+            drop(m);
+            let fresh = Memory::new(size);
+            prop_assert_eq!(fresh.bytes.as_ptr(), buf, "buffer was not recycled");
+            let dirty = fresh.read_bytes(0, size).unwrap().iter().position(|&b| b != 0);
+            prop_assert_eq!(dirty, None, "recycled buffer kept a written byte");
+        }
     }
 }

@@ -8,6 +8,12 @@
 //! test from the test's name) and there is no shrinking: a failing case
 //! panics with the generated inputs' `Debug` rendering so it can be
 //! reproduced by hand.
+//!
+//! Two environment variables widen a run without editing any test:
+//! `PROPTEST_SEED` (a `u64`, decimal or `0x` hex) is mixed into every
+//! test's name seed, so each value draws fresh cases, and `PROPTEST_CASES`
+//! replaces every test's configured case count. Unset, both keep the
+//! fixed defaults. A failure message names the seed that replays it.
 
 #![forbid(unsafe_code)]
 
@@ -336,6 +342,29 @@ pub fn seed_from_name(name: &str) -> u64 {
     h
 }
 
+/// The seed for the test named `name` under run seed `run` (see
+/// [`env_override`]): the name seed alone for run seed 0, so the default
+/// run draws the same cases it always has.
+pub fn test_seed(name: &str, run: u64) -> u64 {
+    seed_from_name(name) ^ run.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
+
+/// The value of the environment variable `var` as a `u64` (decimal or
+/// `0x` hex), `None` when unset. A value that does not parse panics with
+/// its name, so a typo cannot silently run the default cases.
+pub fn env_override(var: &str) -> Option<u64> {
+    parse_override(var, std::env::var(var).ok().as_deref())
+}
+
+fn parse_override(var: &str, value: Option<&str>) -> Option<u64> {
+    let v = value?;
+    let parsed = match v.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16),
+        None => v.parse(),
+    };
+    Some(parsed.unwrap_or_else(|_| panic!("{var}={v:?} is not a u64")))
+}
+
 /// Define property tests. Each function body runs `cases` times with fresh
 /// generated inputs; a returned [`test_runner::TestCaseError`] or a
 /// `prop_assert*` failure panics with the inputs that provoked it.
@@ -360,12 +389,15 @@ macro_rules! __proptest_impl {
     )*) => {$(
         $(#[$meta])*
         fn $name() {
-            let config = $cfg;
-            let mut rng = $crate::TestRng::new($crate::seed_from_name(concat!(
-                module_path!(), "::", stringify!($name)
-            )));
+            let run_seed = $crate::env_override("PROPTEST_SEED").unwrap_or(0);
+            let cases = $crate::env_override("PROPTEST_CASES")
+                .map_or($cfg.cases, |n| n.min(u32::MAX as u64) as u32);
+            let mut rng = $crate::TestRng::new($crate::test_seed(
+                concat!(module_path!(), "::", stringify!($name)),
+                run_seed,
+            ));
             $(let $arg = &$strat;)+
-            for case in 0..config.cases {
+            for case in 0..cases {
                 $(let $arg = $crate::strategy::Strategy::generate($arg, &mut rng);)+
                 let desc = format!(
                     concat!($(stringify!($arg), " = {:?} "),+),
@@ -378,11 +410,13 @@ macro_rules! __proptest_impl {
                     })();
                 if let Err(e) = outcome {
                     panic!(
-                        "proptest case {}/{} failed: {}\n  inputs: {}",
+                        "proptest case {}/{} failed: {}\n  inputs: {}\n  \
+                         replay: PROPTEST_SEED={}",
                         case + 1,
-                        config.cases,
+                        cases,
                         e,
-                        desc
+                        desc,
+                        run_seed,
                     );
                 }
             }
@@ -452,6 +486,25 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(a.next_u64(), b.next_u64());
         }
+    }
+
+    #[test]
+    fn run_seed_zero_keeps_the_name_seed() {
+        assert_eq!(crate::test_seed("a::b", 0), crate::seed_from_name("a::b"));
+        assert_ne!(crate::test_seed("a::b", 1), crate::test_seed("a::b", 2));
+    }
+
+    #[test]
+    fn overrides_parse_decimal_and_hex() {
+        assert_eq!(crate::parse_override("S", None), None);
+        assert_eq!(crate::parse_override("S", Some("42")), Some(42));
+        assert_eq!(crate::parse_override("S", Some("0x2a")), Some(42));
+    }
+
+    #[test]
+    #[should_panic(expected = "PROPTEST_CASES=\"12 \" is not a u64")]
+    fn a_malformed_override_is_refused() {
+        crate::parse_override("PROPTEST_CASES", Some("12 "));
     }
 
     #[test]
